@@ -21,7 +21,6 @@ from .config import (
 )
 from .crossing import (
     CrossingProbabilities,
-    GeometryKernel,
     SeriesTruncationWarning,
     crossing_probabilities,
     exit_distance,
@@ -32,8 +31,6 @@ from .crossing import (
 )
 from .interference import (
     InterfererMoments,
-    InterferenceModel,
-    build_interference_model,
     csg_interferer_moments,
     interferer_mgf,
     osg_interferer_moments,
@@ -41,14 +38,9 @@ from .interference import (
     total_moments,
 )
 from .mobility import (
-    Flight,
-    FlightGeometry,
-    PolarPosition,
-    apply_flight,
-    flight_geometry,
+    advance,
     sample_direction,
     sample_flight_length,
-    step_population,
     uniformity_test,
 )
 from .montecarlo import (
@@ -60,9 +52,7 @@ from .montecarlo import (
     run_sinr,
 )
 from .occupancy import (
-    OccupancyChain,
     OccupancyMoments,
-    build_occupancy_chain,
     occupancy_moments,
     occupancy_pgf,
     stationary_distribution,

@@ -153,7 +153,7 @@ def _scenario_crossing(manifest, cfg, ch, grid, analytic, mc):
     for delta in grid:
         c = replace(cfg, delta=float(delta))
         cp = _maybe(analytic, crossing_probabilities, c)
-        est = _maybe(mc, run_crossing, replace(plan, seed=plan.seed), c)
+        est = _maybe(mc, run_crossing, plan, c)
         row = {
             "delta": delta,
             "p_in_analytic": cp.p_in if cp else None,
@@ -222,41 +222,44 @@ def _scenario_occupancy(manifest, cfg, ch, grid, analytic, mc):
 def _scenario_interference(manifest, cfg, ch, grid, analytic, mc):
     plan = _plan(manifest)
     rows, checks = [], []
-    modes = [manifest.mode] if not mc else ["stationary", "live"]
+    mode = manifest.mode
     for delta in grid:
         c = replace(cfg, delta=float(delta))
         means = {}
         if analytic:
             for cell in (CellType.CSG, CellType.OSG):
                 means[cell] = total_moments(replace(c, cell_type=cell), ch)
-        for mode in modes:
-            est = _maybe(mc, run_interference, plan, c, ch, mode=mode)
-            row = {
-                "delta": delta,
-                "mode": mode if est else "",
-                "csg_mean_analytic": means[CellType.CSG][0] if means else None,
-                "csg_var_analytic": means[CellType.CSG][1] if means else None,
-                "osg_mean_analytic": means[CellType.OSG][0] if means else None,
-                "osg_var_analytic": means[CellType.OSG][1] if means else None,
-                "csg_mean_mc": est.csg_mean.value if est else None,
-                "csg_mean_se": est.csg_mean.std_error if est else None,
-                "osg_mean_mc": est.osg_mean.value if est else None,
-                "osg_mean_se": est.osg_mean.std_error if est else None,
-                "resampled": est.resampled if est else None,
-            }
-            rows.append(row)
-            if est and means and not math.isnan(est.csg_mean.std_error):
-                gap = abs(means[CellType.CSG][0] - est.csg_mean.value)
-                checks.append(
-                    Check(
-                        f"interference:csg_mean@delta={delta},{mode}",
-                        gap <= 3.0 * est.csg_mean.std_error,
-                        f"gap={gap:.3g}",
-                    )
+        est = _maybe(mc, run_interference, plan, c, ch, mode=mode)
+        row = {
+            "delta": delta,
+            "mode": mode if est else "",
+            "csg_mean_analytic": means[CellType.CSG][0] if means else None,
+            "csg_var_analytic": means[CellType.CSG][1] if means else None,
+            "osg_mean_analytic": means[CellType.OSG][0] if means else None,
+            "osg_var_analytic": means[CellType.OSG][1] if means else None,
+            "csg_mean_mc": est.csg_mean.value if est else None,
+            "csg_mean_se": est.csg_mean.std_error if est else None,
+            "osg_mean_mc": est.osg_mean.value if est else None,
+            "osg_mean_se": est.osg_mean.std_error if est else None,
+            "resampled": est.resampled if est else None,
+        }
+        rows.append(row)
+        if est and means and not math.isnan(est.csg_mean.std_error):
+            gap = abs(means[CellType.CSG][0] - est.csg_mean.value)
+            checks.append(
+                Check(
+                    f"interference:csg_mean@delta={delta},{mode}",
+                    gap <= 3.0 * est.csg_mean.std_error,
+                    f"gap={gap:.3g}",
                 )
-            if not mc:
-                break
+            )
     return rows, checks
+
+
+def _needs_crossing(manifest, analytic):
+    """Whether a metric run reads the crossing point of the R_I disk: the
+    analytic engine and stationary Monte Carlo do, live Monte Carlo does not."""
+    return analytic or manifest.mode == "stationary"
 
 
 def _scenario_metric(manifest, cfg, ch, grid, analytic, mc, metric):
@@ -268,6 +271,7 @@ def _scenario_metric(manifest, cfg, ch, grid, analytic, mc, metric):
     rate_scale = 1.0 if manifest.rate_units == "nats" else 1.0 / LN2
     rows, checks = [], []
     p_cache: dict = {}
+    needs_crossing = _needs_crossing(manifest, analytic)
     for value in grid:
         if axis == "delta":
             c = replace(cfg, delta=float(value))
@@ -276,10 +280,12 @@ def _scenario_metric(manifest, cfg, ch, grid, analytic, mc, metric):
             c = cfg
             kappa = float(value)
         query = PerformanceQuery(kappa=kappa, threshold=threshold, cell_type=c.cell_type)
-        if c.delta not in p_cache:
-            cp = crossing_probabilities(c, c.R_I)
-            p_cache[c.delta] = (cp.p_in, cp.p_out)
-        p_in, p_out = p_cache[c.delta]
+        p_in = p_out = None
+        if needs_crossing:
+            if c.delta not in p_cache:
+                cp = crossing_probabilities(c, c.R_I)
+                p_cache[c.delta] = (cp.p_in, cp.p_out)
+            p_in, p_out = p_cache[c.delta]
         a_val = None
         if analytic:
             if metric == "success":
@@ -318,7 +324,10 @@ def _scenario_density(manifest, cfg, ch, grid, analytic, mc):
     threshold = db_to_linear(manifest.threshold_db)
     rate_scale = 1.0 if manifest.rate_units == "nats" else 1.0 / LN2
     rows, checks = [], []
-    cp = crossing_probabilities(cfg, cfg.R_I)
+    p_in = p_out = None
+    if _needs_crossing(manifest, analytic):
+        cp = crossing_probabilities(cfg, cfg.R_I)
+        p_in, p_out = cp.p_in, cp.p_out
     series: dict = {}
     for n in grid:
         for cell in (CellType.CSG, CellType.OSG):
@@ -326,11 +335,11 @@ def _scenario_density(manifest, cfg, ch, grid, analytic, mc):
             query = PerformanceQuery(kappa=manifest.kappa, threshold=threshold, cell_type=cell)
             s_a = r_a = None
             if analytic:
-                res = evaluate(query, c, ch, cp.p_in, cp.p_out)
+                res = evaluate(query, c, ch, p_in, p_out)
                 s_a, r_a = res.success_probability, rate_scale * res.average_rate
             est = None
             if mc:
-                est = run_sinr(plan, c, ch, query, mode=manifest.mode, p_in=cp.p_in, p_out=cp.p_out)
+                est = run_sinr(plan, c, ch, query, mode=manifest.mode, p_in=p_in, p_out=p_out)
             rows.append(
                 {
                     "n_users": int(n),
@@ -403,7 +412,10 @@ def _write_outputs(manifest, columns, rows, checks, elapsed):
 
 
 def run(manifest: RunManifest) -> int:
-    """Execute one manifest; returns the process exit status."""
+    """Execute one manifest; returns the process exit status.
+
+    Resolved defaults go into copies; the caller's manifest is left as given.
+    """
     if manifest.scenario not in VALID_SCENARIOS:
         print(
             f"error: unknown scenario {manifest.scenario!r}; valid scenarios: "
@@ -429,13 +441,13 @@ def run(manifest: RunManifest) -> int:
     if scenario in FIGURE_ALIASES:
         scenario, default_sweep, fixed = FIGURE_ALIASES[manifest.scenario]
         if manifest.sweep is None:
-            manifest.sweep = default_sweep
+            manifest = replace(manifest, sweep=default_sweep)
     if "delta" in fixed:
         cfg = replace(cfg, delta=fixed["delta"])
     if "cell_type" in fixed:
         cfg = replace(cfg, cell_type=fixed["cell_type"])
     if "kappa" in fixed:
-        manifest.kappa = fixed["kappa"]
+        manifest = replace(manifest, kappa=fixed["kappa"])
 
     axis = SCENARIO_AXES[scenario]
     if manifest.sweep is not None:
@@ -449,7 +461,7 @@ def run(manifest: RunManifest) -> int:
             return 2
         grid = values
     else:
-        manifest.sweep = (axis, DEFAULT_SWEEPS[scenario])
+        manifest = replace(manifest, sweep=(axis, DEFAULT_SWEEPS[scenario]))
         grid = DEFAULT_SWEEPS[scenario]
 
     if manifest.full_scale:
@@ -457,8 +469,7 @@ def run(manifest: RunManifest) -> int:
             "warning: full-scale run (10^6 steps per replication); this takes hours",
             file=sys.stderr,
         )
-        manifest.steps = 1_000_000
-        manifest.warmup = 1_000
+        manifest = replace(manifest, steps=1_000_000, warmup=1_000)
         cfg = replace(cfg, N=10_000) if manifest.config_path is None else cfg
 
     analytic = manifest.engine in ("analytic", "both")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -191,8 +191,3 @@ def load_config(path) -> tuple[NetworkConfig, ChannelConfig]:
     ch = ChannelConfig(**chan)
     validate(cfg, ch)
     return cfg, ch
-
-
-def desk_scale(cfg: NetworkConfig, n_users: int = 2000) -> NetworkConfig:
-    """Same geometry with a reduced population, for fast experiments."""
-    return replace(cfg, N=n_users)

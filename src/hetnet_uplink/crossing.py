@@ -58,6 +58,38 @@ def _survival_arr(x, alpha, delta):
     return out
 
 
+def _half_chord(radius: float, r: float, theta: float) -> float:
+    """Half length of the chord that a circle of ``radius`` cuts from the
+    line through a point at distance r from its center, heading at angle
+    theta to the radial direction; 0 when the line misses the circle."""
+    s = r * math.sin(theta)
+    return math.sqrt(max(radius * radius - s * s, 0.0))
+
+
+def _chord(radius: float, d0: float, theta: float):
+    """Near and far distances (rho1, rho2) at which a ray from distance d0,
+    deviating by theta from the center direction, cuts the circle; the
+    half chord is clamped at 0 past the tangent angle."""
+    half = _half_chord(radius, d0, theta)
+    mid = d0 * math.cos(theta)
+    return mid - half, mid + half
+
+
+def _theta1(r0: float, R: float, delta: float) -> float:
+    """Angle below which a user at r0 inside the disk exits within one basic step."""
+    return math.acos(_clamp((R * R - r0 * r0 - delta * delta) / (2.0 * delta * r0)))
+
+
+def _theta2(d0: float, R: float, delta: float) -> float:
+    """Angle at which the basic-step circle around a user at d0 meets the disk boundary."""
+    return math.acos(_clamp((delta**2 + d0**2 - R**2) / (2.0 * delta * d0)))
+
+
+def _theta3(d0: float, R: float) -> float:
+    """Tangent angle of the disk seen from distance d0."""
+    return math.asin(_clamp(R / d0))
+
+
 def exit_distance(r0: float, theta: float, R: float) -> float:
     """Distance from a point at radius r0 inside the disk to its boundary.
 
@@ -66,8 +98,7 @@ def exit_distance(r0: float, theta: float, R: float) -> float:
     """
     if r0 > R:
         raise ValueError(f"r0={r0} lies outside the disk of radius {R}")
-    s = r0 * math.sin(theta)
-    return math.sqrt(max(R * R - s * s, 0.0)) - r0 * math.cos(theta)
+    return _half_chord(R, r0, theta) - r0 * math.cos(theta)
 
 
 def intersection_distances(d0: float, theta: float, R: float):
@@ -81,45 +112,7 @@ def intersection_distances(d0: float, theta: float, R: float):
         raise ValueError(f"d0={d0} must exceed the disk radius {R}")
     if abs(math.sin(theta)) * d0 >= R:
         return None
-    s = d0 * math.sin(theta)
-    half = math.sqrt(max(R * R - s * s, 0.0))
-    mid = d0 * math.cos(theta)
-    return mid - half, mid + half
-
-
-@dataclass(frozen=True)
-class GeometryKernel:
-    """Chord geometry helpers for one (cell radius, macro radius, step) triple."""
-
-    R: float
-    L: float
-    delta: float
-
-    def r_theta(self, r0: float, theta: float) -> float:
-        return exit_distance(r0, theta, self.R)
-
-    def intersections(self, d0: float, theta: float):
-        return intersection_distances(d0, theta, self.R)
-
-    def theta1(self, r0: float) -> float:
-        """Angle below which a user at r0 exits within one basic step."""
-        return math.acos(_clamp((self.R**2 - r0**2 - self.delta**2) / (2.0 * self.delta * r0)))
-
-    def theta2(self, d0: float) -> float:
-        """Angle at which the basic-step circle meets the cell boundary."""
-        return math.acos(_clamp((self.delta**2 + d0**2 - self.R**2) / (2.0 * self.delta * d0)))
-
-    def theta3(self, d0: float) -> float:
-        """Tangent angle of the cell seen from distance d0."""
-        return math.asin(_clamp(self.R / d0))
-
-    def macro_half_chord(self, r: float, theta: float) -> float:
-        s = r * math.sin(theta)
-        return math.sqrt(max(self.L**2 - s * s, 0.0))
-
-    def cell_half_chord(self, r: float, theta: float) -> float:
-        s = r * math.sin(theta)
-        return math.sqrt(max(self.R**2 - s * s, 0.0))
+    return _chord(R, d0, theta)
 
 
 @dataclass(frozen=True)
@@ -195,11 +188,10 @@ def _return_correction(alpha: float, delta: float, L: float, Rd: float):
     state: dict = {}
 
     def inner(theta, r0):
-        s = r0 * math.sin(theta)
-        l2 = math.sqrt(max(Rd * Rd - s * s, 0.0))
-        l1 = math.sqrt(max(L * L - s * s, 0.0))
+        l2 = _half_chord(Rd, r0, theta)
         rt = l2 - r0 * math.cos(theta)
-        return _reentry_series(rt - 2.0 * l2, rt, 2.0 * l1, alpha, delta, state)
+        period = 2.0 * _half_chord(L, r0, theta)
+        return _reentry_series(rt - 2.0 * l2, rt, period, alpha, delta, state)
 
     def outer(r0):
         val, _ = _quad(
@@ -223,7 +215,7 @@ def _outgoing(alpha: float, delta: float, L: float, Rd: float):
 
     def near_edge(r0):
         # users within one basic step of the edge leave for sure inside theta1
-        t1 = math.acos(_clamp((Rd * Rd - r0 * r0 - delta * delta) / (2.0 * delta * r0)))
+        t1 = _theta1(r0, Rd, delta)
         tail, _ = _quad(
             tail_integrand, t1, math.pi, epsabs=INNER_EPSABS, epsrel=INNER_EPSREL,
             args=(r0,),
@@ -261,43 +253,31 @@ def _incoming(alpha: float, delta: float, L: float, Rd: float):
     state: dict = {}
     d_star = math.hypot(delta, Rd)
 
-    def rho12(d0, theta):
-        s = d0 * math.sin(theta)
-        half = math.sqrt(max(Rd * Rd - s * s, 0.0))
-        mid = d0 * math.cos(theta)
-        return mid - half, mid + half
-
-    def theta2(d0):
-        return math.acos(_clamp((delta**2 + d0**2 - Rd**2) / (2.0 * delta * d0)))
-
-    def theta3(d0):
-        return math.asin(_clamp(Rd / d0))
-
     # --- direct entry: the flight stops inside the chord section ---
     def kern_far(theta, d0):
-        r1, r2 = rho12(d0, theta)
+        r1, r2 = _chord(Rd, d0, theta)
         return _survival(r1, alpha, delta) - _survival(r2, alpha, delta)
 
     def kern_near(theta, d0):
-        _, r2 = rho12(d0, theta)
+        _, r2 = _chord(Rd, d0, theta)
         return 1.0 - _survival(r2, alpha, delta)
 
     def outer_near(d0):
         # reachable band: the step circle cuts the cell; below theta2 the
         # near intersection is closer than one basic step
         val, _ = _quad(
-            kern_near, 0.0, theta2(d0), (), INNER_EPSABS, INNER_EPSREL, (d0,)
+            kern_near, 0.0, _theta2(d0, Rd, delta), (), INNER_EPSABS, INNER_EPSREL, (d0,)
         )
         return d0 * val
 
     def outer_mid(d0):
-        t2, t3 = theta2(d0), theta3(d0)
+        t2, t3 = _theta2(d0, Rd, delta), _theta3(d0, Rd)
         v1, _ = _quad(kern_near, 0.0, t2, (), INNER_EPSABS, INNER_EPSREL, (d0,))
         v2, _ = _quad(kern_far, t2, t3, (), INNER_EPSABS, INNER_EPSREL, (d0,))
         return d0 * (v1 + v2)
 
     def outer_far(d0):
-        val, _ = _quad(kern_far, 0.0, theta3(d0), (), INNER_EPSABS, INNER_EPSREL, (d0,))
+        val, _ = _quad(kern_far, 0.0, _theta3(d0, Rd), (), INNER_EPSABS, INNER_EPSREL, (d0,))
         return d0 * val
 
     a_lo = max(Rd, delta - Rd)
@@ -309,18 +289,15 @@ def _incoming(alpha: float, delta: float, L: float, Rd: float):
 
     # --- indirect entry after one or more macro-boundary re-entries ---
     def kern_indirect(theta, d0):
-        s = d0 * math.sin(theta)
-        half = math.sqrt(max(Rd * Rd - s * s, 0.0))
-        l1 = math.sqrt(max(L * L - s * s, 0.0))
-        mid = d0 * math.cos(theta)
-        r1, r2 = mid - half, mid + half
-        forward = _reentry_series(r1, r2, 2.0 * l1, alpha, delta, state)
-        backward = _reentry_series(-r2, -r1, 2.0 * l1, alpha, delta, state)
+        r1, r2 = _chord(Rd, d0, theta)
+        period = 2.0 * _half_chord(L, d0, theta)
+        forward = _reentry_series(r1, r2, period, alpha, delta, state)
+        backward = _reentry_series(-r2, -r1, period, alpha, delta, state)
         return forward + backward
 
     def outer_indirect(d0):
         val, _ = _quad(
-            kern_indirect, 0.0, theta3(d0), (), INNER_EPSABS, INNER_EPSREL, (d0,)
+            kern_indirect, 0.0, _theta3(d0, Rd), (), INNER_EPSABS, INNER_EPSREL, (d0,)
         )
         return d0 * val
 

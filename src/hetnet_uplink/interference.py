@@ -36,20 +36,6 @@ class InterfererMoments:
     cell_type: CellType
 
 
-@dataclass(frozen=True)
-class InterferenceModel:
-    """Total-interference MGF and moments for one scenario."""
-
-    per_interferer_mgf: Callable[[float], float]
-    total_mgf: Callable[[float], float]
-    mean: float
-    variance: float
-    q: float | None
-    p_in: float
-    p_out: float
-    cell_type: CellType
-
-
 def _ring_moments(ch: ChannelConfig, lo: float, hi: float):
     """Moments of g * P_t_m / d**beta with d on [lo, hi], density
     2x/(hi**2 - lo**2)."""
@@ -197,32 +183,3 @@ def total_moments(
     mean = weight * mom.first
     variance = weight * mom.second - weight**2 / cfg.N * mom.first**2
     return mean, variance
-
-
-def build_interference_model(
-    cfg: NetworkConfig,
-    ch: ChannelConfig,
-    p_in: float | None = None,
-    p_out: float | None = None,
-) -> InterferenceModel:
-    """Bundle the MGF evaluators and closed-form moments for one scenario."""
-    eta, p_in, p_out = _eta(cfg, p_in, p_out)
-    mean, variance = total_moments(cfg, ch, p_in, p_out)
-    q = None if cfg.cell_type is CellType.CSG else 1.0 - cfg.R**2 / cfg.R_I**2
-
-    def per(s: float) -> float:
-        return interferer_mgf(s, ch, cfg.cell_type, cfg.R, cfg.R_I)
-
-    def total(s: float) -> float:
-        return total_mgf(s, cfg, ch, p_in, p_out)
-
-    return InterferenceModel(
-        per_interferer_mgf=per,
-        total_mgf=total,
-        mean=mean,
-        variance=variance,
-        q=q,
-        p_in=p_in,
-        p_out=p_out,
-        cell_type=cfg.cell_type,
-    )

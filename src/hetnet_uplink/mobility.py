@@ -25,52 +25,6 @@ from scipy import stats
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class PolarPosition:
-    """Location relative to the macro-cell center: radius [m], angle [rad)."""
-
-    rho: float
-    theta: float
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
-        object.__setattr__(self, "theta", self.theta % TWO_PI)
-
-
-@dataclass(frozen=True)
-class Flight:
-    """One move: length [m] (at least the basic step) and heading [rad)."""
-
-    length: float
-    direction: float
-
-    def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError(f"flight length must be positive, got {self.length}")
-        object.__setattr__(self, "direction", self.direction % TWO_PI)
-
-
-@dataclass(frozen=True)
-class FlightGeometry:
-    """Chord decomposition of one flight.
-
-    l1      half chord length through the disk [m]
-    l3      distance from the start to the first exit [m]
-    l4      residual length after the first exit [m] (negative: no exit)
-    m       number of full re-crossings; -1 encodes no boundary crossing
-    l5      residual after the last re-entry, in [0, 2*l1) [m]
-    gamma1  auxiliary elevation angle of the end point over the chord foot
-    """
-
-    l1: float
-    l3: float
-    l4: float
-    m: int
-    l5: float
-    gamma1: float
-
-
 def sample_flight_length(u, alpha: float, delta: float):
     """Inverse-CDF power-law flight length: delta * u**(-1/alpha).
 
@@ -151,55 +105,6 @@ def advance(rho, theta, length, direction, L: float):
     return rho_out, theta_out
 
 
-def flight_geometry(start: PolarPosition, flight: Flight, L: float) -> FlightGeometry:
-    """Chord decomposition of one flight (see module docstring)."""
-    if start.rho > L:
-        raise ValueError("start position outside the disk")
-    phi = flight.direction - start.theta
-    w = start.rho * math.sin(phi)
-    l1 = math.sqrt(max(L * L - w * w, 0.0))
-    l3 = l1 - start.rho * math.cos(phi)
-    l4 = flight.length - l3
-    if flight.length < l3:
-        m = -1
-        l5 = l4 % (2.0 * l1) if l1 > 0.0 else 0.0
-    elif l1 > 0.0:
-        m = int(l4 // (2.0 * l1))
-        l5 = l4 - m * 2.0 * l1
-        if l5 < 0.0:
-            m, l5 = m - 1, l5 + 2.0 * l1
-        elif l5 >= 2.0 * l1:
-            m, l5 = m + 1, l5 - 2.0 * l1
-    else:
-        m, l5 = 0, 0.0
-    gamma1 = math.atan2(l1 - l5, math.sqrt(max(L * L - l1 * l1, 0.0)))
-    return FlightGeometry(l1=l1, l3=l3, l4=l4, m=m, l5=l5, gamma1=gamma1)
-
-
-def apply_flight(start: PolarPosition, flight: Flight, L: float) -> PolarPosition:
-    """End position of one flight from ``start`` inside the disk of radius L."""
-    rho, theta = advance(start.rho, start.theta, flight.length, flight.direction, L)
-    return PolarPosition(rho, theta)
-
-
-def step_population(states, cfg, rng) -> list:
-    """Advance every user by one independently sampled flight.
-
-    ``states`` is a sequence of PolarPosition; returns a list of the same
-    length (the re-entry rule conserves the population).  ``rng`` is a
-    numpy Generator; results are reproducible given the generator state.
-    """
-    if len(states) == 0:
-        return []
-    rho = np.array([p.rho for p in states])
-    theta = np.array([p.theta for p in states])
-    n = len(states)
-    lengths = sample_flight_length(1.0 - rng.random(n), cfg.alpha, cfg.delta)
-    directions = sample_direction(rng.random(n))
-    rho, theta = advance(rho, theta, lengths, directions, cfg.L)
-    return [PolarPosition(r, t) for r, t in zip(rho, theta)]
-
-
 def equal_area_bins(bins: int, L: float):
     """Partition the disk into ``bins`` equal-area regions.
 
@@ -225,16 +130,6 @@ def equal_area_bins(bins: int, L: float):
     return radii, np.array(sectors), cumulative
 
 
-def _positions_to_arrays(positions):
-    if isinstance(positions, np.ndarray):
-        arr = np.asarray(positions, dtype=float)
-        return arr[:, 0], arr[:, 1]
-    return (
-        np.array([p.rho for p in positions], dtype=float),
-        np.array([p.theta for p in positions], dtype=float),
-    )
-
-
 @dataclass(frozen=True)
 class UniformityResult:
     statistic: float
@@ -246,12 +141,12 @@ def uniformity_test(positions, bins: int, L: float) -> UniformityResult:
     """Pearson chi-square of positions against the uniform disk law.
 
     The disk is split into ``bins`` equal-area regions (annuli subdivided
-    into sectors).  ``positions`` is a sequence of PolarPosition or an
-    (n, 2) array of (rho, theta) rows.
+    into sectors).  ``positions`` is an (n, 2) array of (rho, theta) rows.
     """
-    rho, theta = _positions_to_arrays(positions)
-    if rho.size == 0:
-        raise ValueError("positions must be non-empty")
+    positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] == 0:
+        raise ValueError("positions must be a non-empty (n, 2) array")
+    rho, theta = positions[:, 0], positions[:, 1]
     if np.any(rho > L):
         raise ValueError("position outside the disk")
     radii, sectors, cumulative = equal_area_bins(bins, L)

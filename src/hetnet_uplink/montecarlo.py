@@ -30,14 +30,13 @@ MODES = ("stationary", "live")
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Shape of one experiment: scenario, effort, seed, optional sweep."""
+    """Shape of one experiment: scenario, effort and seed."""
 
     scenario: str
     replications: int = 8
     steps_per_replication: int = 100_000
     warmup_steps: int = 1_000
     seed: int = 0
-    sweep: tuple[str, tuple[float, ...]] | None = None
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -97,11 +96,49 @@ def _uniform_annulus(rng, n, r_lo, r_hi):
     return np.sqrt(r_lo**2 + rng.random(n) * (r_hi**2 - r_lo**2))
 
 
+def _uniform_positions(rng, n, r_lo, r_hi):
+    """(rho, theta) of n points uniform on the annulus r_lo <= r <= r_hi."""
+    rho = _uniform_annulus(rng, n, r_lo, r_hi)
+    return rho, rng.random(n) * 2.0 * np.pi
+
+
 def _fly(rng, rho, theta, cfg):
     n = rho.size
     lengths = sample_flight_length(1.0 - rng.random(n), cfg.alpha, cfg.delta)
     directions = sample_direction(rng.random(n))
     return advance(rho, theta, lengths, directions, cfg.L)
+
+
+def _live_steps(rng, plan: ExperimentPlan, cfg: NetworkConfig):
+    """Positions of a mobile population after each post-warmup step.
+
+    The population starts uniform on the macro disk and takes
+    ``plan.warmup_steps`` unobserved flights; then one (rho, theta) pair is
+    yielded per step.  Consumers may draw from ``rng`` between steps: the
+    next flight is drawn only when the next pair is requested.
+    """
+    rho, theta = _uniform_positions(rng, cfg.N, 0.0, cfg.L)
+    for _ in range(plan.warmup_steps):
+        rho, theta = _fly(rng, rho, theta, cfg)
+    for _ in range(plan.steps_per_replication - plan.warmup_steps):
+        rho, theta = _fly(rng, rho, theta, cfg)
+        yield rho, theta
+
+
+def _floor_resample(rng, d, R_I):
+    """Redraw, in place, the distances of ``d`` below the 1 m support floor
+    from the analytic support [1, R_I]; returns how many were redrawn."""
+    near = d < 1.0
+    k = int(near.sum())
+    if k:
+        d[near] = _uniform_annulus(rng, k, 1.0, R_I)
+    return k
+
+
+def _interference_sum(rng, d, ch):
+    """Total power of interferers at distances ``d``, one fading draw each."""
+    g = rng.exponential(ch.P_gamma, d.size)
+    return float((g * ch.P_t_m / d**ch.beta).sum())
 
 
 def run_crossing(plan: ExperimentPlan, cfg: NetworkConfig, r_disk: float | None = None) -> CrossingRun:
@@ -115,14 +152,9 @@ def run_crossing(plan: ExperimentPlan, cfg: NetworkConfig, r_disk: float | None 
     n = plan.steps_per_replication
     outs, ins = [], []
     for rng in _substreams(plan.seed, plan.replications):
-        rho = _uniform_annulus(rng, n, 0.0, r)
-        theta = rng.random(n) * 2.0 * np.pi
-        end_rho, _ = _fly(rng, rho, theta, cfg)
+        end_rho, _ = _fly(rng, *_uniform_positions(rng, n, 0.0, r), cfg)
         outs.append(float(np.mean(end_rho >= r)))
-
-        rho = _uniform_annulus(rng, n, r, cfg.L)
-        theta = rng.random(n) * 2.0 * np.pi
-        end_rho, _ = _fly(rng, rho, theta, cfg)
+        end_rho, _ = _fly(rng, *_uniform_positions(rng, n, r, cfg.L), cfg)
         ins.append(float(np.mean(end_rho < r)))
     return CrossingRun(p_in=_pool(ins, n), p_out=_pool(outs, n))
 
@@ -144,13 +176,8 @@ def run_occupancy(
     means, variances = [], []
     histogram = np.zeros(cfg.N + 1, dtype=np.int64)
     for rng in _substreams(plan.seed, plan.replications):
-        rho = _uniform_annulus(rng, cfg.N, 0.0, cfg.L)
-        theta = rng.random(cfg.N) * 2.0 * np.pi
-        for _ in range(plan.warmup_steps):
-            rho, theta = _fly(rng, rho, theta, cfg)
         counts = np.empty(post, dtype=np.int64)
-        for step in range(post):
-            rho, theta = _fly(rng, rho, theta, cfg)
+        for step, (rho, theta) in enumerate(_live_steps(rng, plan, cfg)):
             counts[step] = int((rho < r).sum())
             if trace_hook is not None:
                 trace_hook(step, rho, theta)
@@ -207,41 +234,24 @@ def run_interference(
     q = 1.0 - cfg.R**2 / cfg.R_I**2
     c_means, c_vars, o_means, o_vars = [], [], [], []
     resampled = 0
-
     if mode == "stationary":
         eta = _interference_eta(cfg, p_in, p_out)
-        for rng in _substreams(plan.seed, plan.replications):
+    for rng in _substreams(plan.seed, plan.replications):
+        if mode == "stationary":
             ic = _stationary_interference(rng, n, cfg.N, eta, 1.0, cfg.R_I, ch)
             io = _stationary_interference(rng, n, cfg.N, eta * q, cfg.R, cfg.R_I, ch)
-            c_means.append(ic.mean())
-            c_vars.append(ic.var(ddof=1))
-            o_means.append(io.mean())
-            o_vars.append(io.var(ddof=1))
-    else:
-        for rng in _substreams(plan.seed, plan.replications):
-            rho = _uniform_annulus(rng, cfg.N, 0.0, cfg.L)
-            theta = rng.random(cfg.N) * 2.0 * np.pi
-            for _ in range(plan.warmup_steps):
-                rho, theta = _fly(rng, rho, theta, cfg)
+        else:
             ic = np.empty(n)
             io = np.empty(n)
-            for step in range(n):
-                rho, theta = _fly(rng, rho, theta, cfg)
+            for step, (rho, _) in enumerate(_live_steps(rng, plan, cfg)):
                 d_c = rho[rho < cfg.R_I]
-                near = d_c < 1.0
-                if near.any():
-                    resampled += int(near.sum())
-                    d_c = d_c.copy()
-                    d_c[near] = _uniform_annulus(rng, int(near.sum()), 1.0, cfg.R_I)
-                g = rng.exponential(ch.P_gamma, d_c.size)
-                ic[step] = float((g * ch.P_t_m / d_c**ch.beta).sum())
-                d_o = rho[(rho >= cfg.R) & (rho < cfg.R_I)]
-                g = rng.exponential(ch.P_gamma, d_o.size)
-                io[step] = float((g * ch.P_t_m / d_o**ch.beta).sum())
-            c_means.append(ic.mean())
-            c_vars.append(ic.var(ddof=1))
-            o_means.append(io.mean())
-            o_vars.append(io.var(ddof=1))
+                resampled += _floor_resample(rng, d_c, cfg.R_I)
+                ic[step] = _interference_sum(rng, d_c, ch)
+                io[step] = _interference_sum(rng, rho[(rho >= cfg.R) & (rho < cfg.R_I)], ch)
+        c_means.append(ic.mean())
+        c_vars.append(ic.var(ddof=1))
+        o_means.append(io.mean())
+        o_vars.append(io.var(ddof=1))
 
     return InterferenceRun(
         csg_mean=_pool(c_means, n),
@@ -274,43 +284,25 @@ def run_sinr(
     successes, rates = [], []
     if mode == "stationary":
         eta = _interference_eta(cfg, p_in, p_out)
-        for rng in _substreams(plan.seed, plan.replications):
-            if open_cell:
-                interference = _stationary_interference(
-                    rng, n, cfg.N, eta * q, cfg.R, cfg.R_I, ch
-                )
-            else:
-                interference = _stationary_interference(
-                    rng, n, cfg.N, eta, 1.0, cfg.R_I, ch
-                )
-            g = rng.exponential(ch.P_gamma, n)
-            sinr = g * ch.P_t_h / attn / (interference + p_n)
-            successes.append(float(np.mean(sinr >= query.threshold)))
-            rates.append(float(ch.W * np.mean(np.log1p(sinr))))
-    else:
-        for rng in _substreams(plan.seed, plan.replications):
-            rho = _uniform_annulus(rng, cfg.N, 0.0, cfg.L)
-            theta = rng.random(cfg.N) * 2.0 * np.pi
-            for _ in range(plan.warmup_steps):
-                rho, theta = _fly(rng, rho, theta, cfg)
-            ok = np.empty(n)
+        count_p, lo = (eta * q, cfg.R) if open_cell else (eta, 1.0)
+    for rng in _substreams(plan.seed, plan.replications):
+        if mode == "stationary":
+            interference = _stationary_interference(rng, n, cfg.N, count_p, lo, cfg.R_I, ch)
+            sinr = rng.exponential(ch.P_gamma, n) * ch.P_t_h / attn / (interference + p_n)
+            ln_rates = np.log1p(sinr)
+        else:
+            sinr = np.empty(n)
             ln_rates = np.empty(n)
-            for step in range(n):
-                rho, theta = _fly(rng, rho, theta, cfg)
+            for step, (rho, _) in enumerate(_live_steps(rng, plan, cfg)):
                 if open_cell:
                     d = rho[(rho >= cfg.R) & (rho < cfg.R_I)]
                 else:
                     d = rho[rho < cfg.R_I]
-                    near = d < 1.0
-                    if near.any():
-                        d = d.copy()
-                        d[near] = _uniform_annulus(rng, int(near.sum()), 1.0, cfg.R_I)
-                g_i = rng.exponential(ch.P_gamma, d.size)
-                interference = float((g_i * ch.P_t_m / d**ch.beta).sum())
-                g = rng.exponential(ch.P_gamma)
-                sinr = g * ch.P_t_h / attn / (interference + p_n)
-                ok[step] = sinr >= query.threshold
-                ln_rates[step] = math.log1p(sinr)
-            successes.append(float(ok.mean()))
-            rates.append(float(ch.W * ln_rates.mean()))
+                    _floor_resample(rng, d, cfg.R_I)
+                interference = _interference_sum(rng, d, ch)
+                sinr[step] = rng.exponential(ch.P_gamma) * ch.P_t_h / attn / (interference + p_n)
+                # scalar log1p: numpy's vector loop may round the last bit differently
+                ln_rates[step] = math.log1p(sinr[step])
+        successes.append(float(np.mean(sinr >= query.threshold)))
+        rates.append(float(ch.W * ln_rates.mean()))
     return _pool(successes, n), _pool(rates, n)

@@ -24,18 +24,6 @@ class OccupancyMoments:
     variance: float
 
 
-@dataclass(frozen=True)
-class OccupancyChain:
-    """Transition matrix (None above the materialization cap) and
-    stationary law of the in-cell count."""
-
-    N: int
-    p_in: float
-    p_out: float
-    transition: np.ndarray | None
-    stationary: np.ndarray
-
-
 def _check_probs(N, p_in, p_out):
     if not 0.0 < p_in < 1.0 or not 0.0 < p_out < 1.0:
         raise ValueError(f"probabilities must lie in (0, 1), got p_in={p_in}, p_out={p_out}")
@@ -87,16 +75,4 @@ def occupancy_moments(N: int, p_in: float, p_out: float) -> OccupancyMoments:
     return OccupancyMoments(
         mean=N * p_in / total,
         variance=N * p_in * p_out / total**2,
-    )
-
-
-def build_occupancy_chain(N: int, p_in: float, p_out: float) -> OccupancyChain:
-    _check_probs(N, p_in, p_out)
-    transition = transition_matrix(N, p_in, p_out) if N <= MATRIX_CAP else None
-    return OccupancyChain(
-        N=N,
-        p_in=p_in,
-        p_out=p_out,
-        transition=transition,
-        stationary=stationary_distribution(N, p_in, p_out),
     )

@@ -184,3 +184,43 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode != 0
     assert "valid scenarios" in proc.stderr
+
+
+def test_live_mc_metrics_skip_crossing_quadrature(tmp_path, config_file, monkeypatch):
+    from hetnet_uplink import cli
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("live Monte Carlo does not read the crossing point")
+
+    monkeypatch.setattr(cli, "crossing_probabilities", no_quadrature)
+    live = ["--engine", "mc", "--mode", "live", "--steps", "20", "--warmup", "5",
+            "--replications", "2", "--config", str(config_file)]
+    for scenario, sweep in (("success", "kappa=0.9"), ("density_sweep", "n=500")):
+        status = main(["--scenario", scenario, "--sweep", sweep, *live,
+                       "--out", str(tmp_path / scenario)])
+        assert status == 0, scenario
+
+
+def test_mc_interference_honours_mode_flag(tmp_path, config_file):
+    status = main([
+        "--scenario", "interference", "--config", str(config_file), "--engine", "mc",
+        "--mode", "stationary", "--sweep", "delta=30", "--steps", "200", "--warmup", "0",
+        "--replications", "2", "--out", str(tmp_path),
+    ])
+    assert status == 0
+    _, rows = _read_table(tmp_path / "interference.csv")
+    assert [r["mode"] for r in rows] == ["stationary"]
+
+
+def test_run_leaves_the_manifest_unchanged(tmp_path, config_file):
+    from dataclasses import replace
+
+    from hetnet_uplink.cli import RunManifest, run
+
+    manifest = RunManifest(
+        scenario="figure12", config_path=str(config_file), out_dir=str(tmp_path),
+        engine="mc", mode="live", replications=2, steps=10, warmup=0, kappa=0.5,
+    )
+    given = replace(manifest)
+    assert run(manifest) == 0
+    assert manifest == given

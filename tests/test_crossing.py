@@ -14,7 +14,7 @@ from hetnet_uplink import (
     outgoing_probability,
     return_correction,
 )
-from hetnet_uplink.crossing import GeometryKernel, _reentry_series
+from hetnet_uplink.crossing import _reentry_series, _theta2, _theta3
 from hetnet_uplink.mobility import sample_direction, sample_flight_length
 
 from oracles import trace_flight
@@ -61,11 +61,11 @@ def test_circle_equation_residuals_randomized():
 
 
 def test_critical_angles_ordering():
-    kern = GeometryKernel(R=60.0, L=500.0, delta=30.0)
-    d_star = math.hypot(30.0, 60.0)
-    for d0 in np.linspace(60.0 + 1e-9, 500.0, 200):
-        assert kern.theta2(d0) <= kern.theta3(d0) + 1e-12
-    assert kern.theta2(d_star) == pytest.approx(kern.theta3(d_star), abs=1e-12)
+    R, delta = 60.0, 30.0
+    d_star = math.hypot(delta, R)
+    for d0 in np.linspace(R + 1e-9, 500.0, 200):
+        assert _theta2(d0, R, delta) <= _theta3(d0, R) + 1e-12
+    assert _theta2(d_star, R, delta) == pytest.approx(_theta3(d_star, R), abs=1e-12)
 
 
 # ---------------------------------------------------------------- series

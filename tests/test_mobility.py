@@ -5,17 +5,14 @@ import pytest
 from scipy import stats
 
 from hetnet_uplink import (
-    Flight,
     NetworkConfig,
-    PolarPosition,
-    apply_flight,
-    flight_geometry,
+    advance,
+    exit_distance,
     sample_direction,
     sample_flight_length,
-    step_population,
     uniformity_test,
 )
-from hetnet_uplink.mobility import advance, equal_area_bins
+from hetnet_uplink.mobility import equal_area_bins
 
 from oracles import trace_flight
 
@@ -71,39 +68,40 @@ def test_direction_uniform_over_sectors():
 # ---------------------------------------------------------------- geometry
 
 def test_apply_flight_straight_line():
-    end = apply_flight(PolarPosition(0.0, 0.0), Flight(L / 2, 0.0), L)
-    assert end.rho == pytest.approx(L / 2)
-    assert end.theta == pytest.approx(0.0)
+    rho, theta = advance(0.0, 0.0, L / 2, 0.0, L)
+    assert rho == pytest.approx(L / 2)
+    assert theta == pytest.approx(0.0)
 
 
 def test_apply_flight_diameter_reentry():
-    end = apply_flight(PolarPosition(0.0, 0.0), Flight(1.5 * L, 0.0), L)
-    assert end.rho == pytest.approx(L / 2, abs=1e-9)
-    assert end.theta == pytest.approx(math.pi, abs=1e-12)
+    # from the center the first exit is L away; the remaining L/2 runs from
+    # the antipodal entry point
+    rho, theta = advance(0.0, 0.0, 1.5 * L, 0.0, L)
+    assert rho == pytest.approx(L / 2, abs=1e-9)
+    assert theta == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_apply_flight_multi_crossing_frozen_case():
     # oracle-computed end point for start (0.3L, 1.1), flight (4.7L, 2.6)
-    start = PolarPosition(0.3 * L, 1.1)
-    flight = Flight(4.7 * L, 2.6)
-    expected = trace_flight(start.rho, start.theta, flight.length, flight.direction, L)
-    end = apply_flight(start, flight, L)
-    assert end.rho == pytest.approx(expected[0], abs=1e-9)
-    assert end.rho * math.cos(end.theta) == pytest.approx(
+    start, flight = (0.3 * L, 1.1), (4.7 * L, 2.6)
+    expected = trace_flight(*start, *flight, L)
+    rho, theta = advance(*start, *flight, L)
+    assert rho == pytest.approx(expected[0], abs=1e-9)
+    assert rho * math.cos(theta) == pytest.approx(
         expected[0] * math.cos(expected[1]), abs=1e-9
     )
-    assert end.rho * math.sin(end.theta) == pytest.approx(
+    assert rho * math.sin(theta) == pytest.approx(
         expected[0] * math.sin(expected[1]), abs=1e-9
     )
     # frozen from the oracle, guarding both codepaths against drift
-    assert end.rho == pytest.approx(476.36820022786407, abs=1e-8)
-    assert end.theta == pytest.approx(2.2804981135561353, abs=1e-10)
+    assert rho == pytest.approx(476.36820022786407, abs=1e-8)
+    assert theta == pytest.approx(2.2804981135561353, abs=1e-10)
     assert expected[2] == 2                      # two boundary crossings
 
 
 def test_apply_flight_rejects_outside_start():
     with pytest.raises(ValueError):
-        apply_flight(PolarPosition(L + 1.0, 0.0), Flight(10.0, 0.0), L)
+        advance(L + 1.0, 0.0, 10.0, 0.0, L)
 
 
 def test_advance_agrees_with_trace_oracle():
@@ -130,57 +128,42 @@ def test_boundary_conservation_randomized():
 def test_composition_of_short_flights():
     rng = np.random.default_rng(44)
     for _ in range(200):
-        start = PolarPosition(0.8 * L * math.sqrt(rng.random()), rng.random() * 2 * math.pi)
+        rho, theta = 0.8 * L * math.sqrt(rng.random()), rng.random() * 2 * math.pi
         direction = rng.random() * 2 * math.pi
-        geo = flight_geometry(start, Flight(1.0, direction), L)
-        total = 0.9 * geo.l3                     # stays inside the disk
+        total = 0.9 * exit_distance(rho, direction - theta, L)   # stays inside the disk
         a = total * rng.random()
-        one = apply_flight(start, Flight(total, direction), L)
-        mid = apply_flight(start, Flight(a, direction), L)
-        two = apply_flight(mid, Flight(total - a, direction), L)
-        dx = one.rho * math.cos(one.theta) - two.rho * math.cos(two.theta)
-        dy = one.rho * math.sin(one.theta) - two.rho * math.sin(two.theta)
+        one = advance(rho, theta, total, direction, L)
+        mid = advance(rho, theta, a, direction, L)
+        two = advance(*mid, total - a, direction, L)
+        dx = one[0] * math.cos(one[1]) - two[0] * math.cos(two[1])
+        dy = one[0] * math.sin(one[1]) - two[0] * math.sin(two[1])
         assert math.hypot(dx, dy) <= 1e-9
 
 
-def test_flight_geometry_fields():
-    geo = flight_geometry(PolarPosition(0.0, 0.0), Flight(1.5 * L, 0.0), L)
-    assert geo.l1 == pytest.approx(L)
-    assert geo.l3 == pytest.approx(L)
-    assert geo.l4 == pytest.approx(0.5 * L)
-    assert geo.m == 0
-    assert geo.l5 == pytest.approx(0.5 * L)
-    assert geo.gamma1 == pytest.approx(math.pi / 2)
-
-    short = flight_geometry(PolarPosition(0.0, 0.0), Flight(10.0, 0.0), L)
-    assert short.m == -1 and short.l4 < 0.0
-    assert 0.0 <= short.l5 < 2 * short.l1
-
-
 def test_tangent_degenerate_flight_stays_put():
-    start = PolarPosition(L, 0.0)
-    end = apply_flight(start, Flight(123.0, math.pi / 2), L)  # tangent heading
-    assert end.rho == pytest.approx(L)
-    assert end.theta == pytest.approx(0.0, abs=1e-12)
+    rho, theta = advance(L, 0.0, 123.0, math.pi / 2, L)   # tangent heading
+    assert rho == pytest.approx(L)
+    assert theta == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- population
 
 def test_step_population_empty():
-    cfg = NetworkConfig(N=0)
-    assert step_population([], cfg, np.random.default_rng(0)) == []
+    empty = np.empty(0)
+    rho, theta = advance(empty, empty, empty, empty, L)
+    assert rho.shape == theta.shape == (0,)
 
 
 def test_step_population_conserves_count_and_disk():
     cfg = NetworkConfig(N=1000)
     rng = np.random.default_rng(7)
-    states = [
-        PolarPosition(cfg.L * math.sqrt(rng.random()), rng.random() * 2 * math.pi)
-        for _ in range(1000)
-    ]
-    out = step_population(states, cfg, rng)
-    assert len(out) == len(states)
-    assert all(p.rho <= cfg.L for p in out)
+    rho = cfg.L * np.sqrt(rng.random(cfg.N))
+    theta = rng.random(cfg.N) * 2 * math.pi
+    lengths = sample_flight_length(1.0 - rng.random(cfg.N), cfg.alpha, cfg.delta)
+    dirs = sample_direction(rng.random(cfg.N))
+    rho, theta = advance(rho, theta, lengths, dirs, cfg.L)
+    assert rho.shape == theta.shape == (cfg.N,)
+    assert np.all(rho <= cfg.L)
 
 
 def test_uniformity_preserved_after_one_and_hundred_steps():
@@ -220,22 +203,23 @@ def test_uniformity_test_exact_grid_is_flat():
         for k in range(s):
             for j in range(4):                      # four points per region
                 ang = (k + (j + 1) / 5.0) * 2 * math.pi / s
-                pts.append(PolarPosition(r_mid, ang))
-    res = uniformity_test(pts, bins=50, L=L)
+                pts.append((r_mid, ang))
+    res = uniformity_test(np.array(pts), bins=50, L=L)
     assert res.statistic == pytest.approx(0.0, abs=1e-12)
     assert res.p_value == pytest.approx(1.0)
 
 
 def test_uniformity_test_point_mass_fails_hard():
-    pts = [PolarPosition(0.0, 0.0)] * 2000
-    res = uniformity_test(pts, bins=50, L=L)
+    res = uniformity_test(np.zeros((2000, 2)), bins=50, L=L)
     assert res.p_value < 1e-6
 
 
 def test_uniformity_test_input_validation():
     with pytest.raises(ValueError):
-        uniformity_test([], bins=10, L=L)
+        uniformity_test(np.empty((0, 2)), bins=10, L=L)
     with pytest.raises(ValueError):
-        uniformity_test([PolarPosition(L + 1, 0.0)], bins=10, L=L)
+        uniformity_test(np.zeros((10, 3)), bins=10, L=L)      # not (rho, theta) rows
     with pytest.raises(ValueError):
-        uniformity_test([PolarPosition(1.0, 0.0)], bins=1, L=L)
+        uniformity_test(np.array([[L + 1, 0.0]]), bins=10, L=L)
+    with pytest.raises(ValueError):
+        uniformity_test(np.array([[1.0, 0.0]]), bins=1, L=L)

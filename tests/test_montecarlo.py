@@ -219,6 +219,82 @@ def test_bit_identical_reruns(desk_cfg, channel, probs_at_RI):
     assert x.csg_mean == y.csg_mean and x.osg_mean == y.osg_mean
 
 
+# Outputs of a small plan frozen as float.hex, so that any change to the
+# arithmetic or to the order of RNG draws shows.  The 50 m macro disk makes
+# the 1 m distance-floor resampling fire in live runs.
+FROZEN_CFG = NetworkConfig(N=300, L=50.0, R=6.0, R_I=12.0, delta=5.0)
+FROZEN_PLAN = dict(replications=2, steps_per_replication=30, warmup_steps=5, seed=11)
+FROZEN_THRESHOLD = 4e-4
+
+
+def _hex(est):
+    return est.value.hex(), est.std_error.hex(), est.sample_count
+
+
+def test_outputs_frozen_bit_for_bit(channel):
+    plan = _plan(**FROZEN_PLAN)
+    cfg = FROZEN_CFG
+    crossing = run_crossing(plan, cfg)
+    assert _hex(crossing.p_in) == ("0x1.1111111111111p-5", "0x1.1111111111111p-5", 60)
+    assert _hex(crossing.p_out) == ("0x1.b333333333334p-1", "0x1.9999999999998p-5", 60)
+
+    occ = run_occupancy(plan, cfg)
+    assert _hex(occ.mean) == ("0x1.1ae147ae147aep+2", "0x1.47ae147ae1480p-6", 50)
+    assert _hex(occ.variance) == ("0x1.a06d3a06d3a08p+1", "0x1.ae147ae147ae4p-2", 50)
+    assert {k: int(v) for k, v in enumerate(occ.histogram) if v} == {
+        1: 3, 2: 5, 3: 5, 4: 13, 5: 12, 6: 6, 7: 4, 8: 1, 9: 1,
+    }
+
+    expected = {
+        "live": {
+            "interference": (
+                ("0x1.0e17feeecdf3cp-4", "0x1.4bf61263f2640p-11", 50),
+                ("0x1.67c759068e3aap-10", "0x1.50a72c5f81913p-13", 50),
+                ("0x1.1a44d47a8ea3ep-6", "0x1.74a8243f03da8p-10", 50),
+                ("0x1.a92fcdbcb8fc6p-15", "0x1.6c2b325839121p-17", 50),
+                4,
+            ),
+            CellType.CSG: (
+                ("0x1.5c28f5c28f5c2p-2", "0x1.47ae147ae1478p-6", 50),
+                ("0x1.04e91ec21392cp+11", "0x1.5b535ecc80d80p+7", 50),
+            ),
+            CellType.OSG: (
+                ("0x1.47ae147ae147bp-1", "0x1.47ae147ae1480p-5", 50),
+                ("0x1.68e3c3b95207dp+12", "0x1.0ec5c7da2c697p+9", 50),
+            ),
+        },
+        "stationary": {
+            "interference": (
+                ("0x1.3a9b4ae732dacp-3", "0x1.57d7cf84261d0p-8", 50),
+                ("0x1.2ea533ad77160p-8", "0x1.17e4b3cad814dp-10", 50),
+                ("0x1.62098b3b5cecbp-5", "0x1.8d10f9245a5e0p-9", 50),
+                ("0x1.445bf1f2c5211p-13", "0x1.766e75b475600p-17", 50),
+                0,
+            ),
+            CellType.CSG: (
+                ("0x1.47ae147ae147bp-4", "0x0.0p+0", 50),
+                ("0x1.5a172efd7c9c0p+9", "0x1.2934a3e4ef398p+5", 50),
+            ),
+            CellType.OSG: (
+                ("0x1.3333333333333p-2", "0x1.eb851eb851eb8p-5", 50),
+                ("0x1.98a6fa18a646ap+10", "0x1.044680ef44fc4p+8", 50),
+            ),
+        },
+    }
+    for mode, want in expected.items():
+        kw = dict(p_in=0.05, p_out=0.3) if mode == "stationary" else {}
+        run = run_interference(plan, cfg, channel, mode, **kw)
+        got = (
+            _hex(run.csg_mean), _hex(run.csg_variance),
+            _hex(run.osg_mean), _hex(run.osg_variance), run.resampled,
+        )
+        assert got == want["interference"], mode
+        for cell in (CellType.CSG, CellType.OSG):
+            q = PerformanceQuery(kappa=0.9, threshold=FROZEN_THRESHOLD, cell_type=cell)
+            success, rate = run_sinr(plan, cfg, channel, q, mode, **kw)
+            assert (_hex(success), _hex(rate)) == want[cell], (mode, cell)
+
+
 def test_seed_changes_the_draws(desk_cfg):
     plan_a = _plan(seed=1, steps_per_replication=2_000, warmup_steps=0)
     plan_b = _plan(seed=2, steps_per_replication=2_000, warmup_steps=0)

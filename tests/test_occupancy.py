@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from hetnet_uplink import (
-    build_occupancy_chain,
     occupancy_moments,
     occupancy_pgf,
     stationary_distribution,
@@ -142,9 +141,3 @@ def test_interfering_disk_mean_matches_area_ratio(desk_cfg, probs_at_RI):
     target = 10_000 * desk_cfg.R_I**2 / desk_cfg.L**2
     assert abs(mom.mean - target) / target <= 0.05
 
-
-def test_build_chain_bundles_consistent_pieces():
-    chain = build_occupancy_chain(12, 0.2, 0.3)
-    assert chain.transition.shape == (13, 13)
-    assert chain.stationary == pytest.approx(stationary_distribution(12, 0.2, 0.3))
-    assert np.abs(chain.stationary @ chain.transition - chain.stationary).max() < 1e-10
