@@ -21,7 +21,6 @@ from .config import (
 )
 from .crossing import (
     CrossingProbabilities,
-    SeriesTruncationWarning,
     crossing_probabilities,
     exit_distance,
     incoming_probability,

@@ -8,37 +8,45 @@ distance; for a user outside, entering requires the flight to stop within
 the chord section cut by the cell.  Flights long enough to leave the
 macro disk re-enter antipodally, so each boundary crossing opens one more
 "window" of flight lengths that end inside the cell; those windows form a
-series over the crossing count m whose terms share one vectorized kernel.
+series over the crossing count m.
 
-All integrals are evaluated with nested adaptive quadrature, with the
-piecewise-case boundaries used as panel breakpoints.  Results are
+Each probability is a radial integral (over the user's distance from the
+center) of an angular integral.  The radial axis runs on adaptive
+``scipy.quad`` with the piecewise-case boundaries as breakpoints.  Every
+angular integral is one vectorized evaluation on a fixed Gauss-Legendre
+rule, split where the integrand has a kink (theta1, theta2); angles up to
+the tangent angle theta3 are taken in u with theta = theta3*(1 - u**2),
+which absorbs the square-root endpoint of the chord there.  The re-entry
+series sums SERIES_TERMS windows explicitly and closes the rest with the
+Euler-Maclaurin integral tail, so it carries no truncation bias.  The
+error estimate adds the radial quadrature error, the angular rule error
+(full rule against its half on the same panels) and the Euler-Maclaurin
+remainder.  A cold point costs a fraction of a second; results are
 memoized per (alpha, delta, L, radius) within a process.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
-# Truncation policy of the re-entry series: stop at the first term below
-# SERIES_TERM_TOL, never evaluate more than SERIES_MAX_TERMS terms, and
-# warn when the cap is hit first.
-SERIES_TERM_TOL = 1e-12
-SERIES_MAX_TERMS = 10_000
-_M = np.arange(1.0, SERIES_MAX_TERMS + 1.0)
+OUTER_EPSABS = 1e-11
+OUTER_EPSREL = 1e-8
 
-OUTER_EPSABS = 1e-9
-OUTER_EPSREL = 1e-6
-INNER_EPSABS = 1e-11
-INNER_EPSREL = 1e-8
+# Gauss-Legendre nodes per angular panel; the half rule on the same panel
+# gives the error estimate.  Both are evaluated in one kernel call.
+INNER_NODES = 64
+_FULL = np.polynomial.legendre.leggauss(INNER_NODES)
+_HALF = np.polynomial.legendre.leggauss(INNER_NODES // 2)
+_NODES = np.concatenate([_FULL[0], _HALF[0]])
+_WEIGHTS = np.concatenate([_FULL[1], _HALF[1]])
 
-
-class SeriesTruncationWarning(UserWarning):
-    """The re-entry series hit its term cap before the term tolerance."""
+# Re-entry windows summed one by one before the Euler-Maclaurin tail.
+SERIES_TERMS = 64
+_TERMS = np.arange(SERIES_TERMS)
 
 
 def _clamp(x: float) -> float:
@@ -46,32 +54,25 @@ def _clamp(x: float) -> float:
     return max(-1.0, min(1.0, x))
 
 
-def _survival(x: float, alpha: float, delta: float) -> float:
+def _survival(x, alpha: float, delta: float):
     """P{flight length > x}: 1 below the basic step, else (delta/x)**alpha."""
-    return 1.0 if x <= delta else (delta / x) ** alpha
+    return np.exp(alpha * (math.log(delta) - np.log(np.maximum(x, delta))))
 
 
-def _survival_arr(x, alpha, delta):
-    out = np.ones_like(x)
-    mask = x > delta
-    out[mask] = (delta / x[mask]) ** alpha
-    return out
-
-
-def _half_chord(radius: float, r: float, theta: float) -> float:
+def _half_chord(radius: float, r: float, theta):
     """Half length of the chord that a circle of ``radius`` cuts from the
     line through a point at distance r from its center, heading at angle
     theta to the radial direction; 0 when the line misses the circle."""
-    s = r * math.sin(theta)
-    return math.sqrt(max(radius * radius - s * s, 0.0))
+    s = r * np.sin(theta)
+    return np.sqrt(np.maximum(radius * radius - s * s, 0.0))
 
 
-def _chord(radius: float, d0: float, theta: float):
+def _chord(radius: float, d0: float, theta):
     """Near and far distances (rho1, rho2) at which a ray from distance d0,
     deviating by theta from the center direction, cuts the circle; the
     half chord is clamped at 0 past the tangent angle."""
     half = _half_chord(radius, d0, theta)
-    mid = d0 * math.cos(theta)
+    mid = d0 * np.cos(theta)
     return mid - half, mid + half
 
 
@@ -90,15 +91,15 @@ def _theta3(d0: float, R: float) -> float:
     return math.asin(_clamp(R / d0))
 
 
-def exit_distance(r0: float, theta: float, R: float) -> float:
+def exit_distance(r0: float, theta, R: float):
     """Distance from a point at radius r0 inside the disk to its boundary.
 
     theta is measured from the outward radial direction (the cell center
-    sits behind the user at angle pi).
+    sits behind the user at angle pi); it may be an array of angles.
     """
     if r0 > R:
         raise ValueError(f"r0={r0} lies outside the disk of radius {R}")
-    return _half_chord(R, r0, theta) - r0 * math.cos(theta)
+    return _half_chord(R, r0, theta) - r0 * np.cos(theta)
 
 
 def intersection_distances(d0: float, theta: float, R: float):
@@ -126,58 +127,136 @@ class CrossingProbabilities:
     abs_error_estimate: float
 
 
-def _quad(f, a, b, points=None, epsabs=OUTER_EPSABS, epsrel=OUTER_EPSREL, args=()):
+def _reentry_series(a, b, period, alpha: float, delta: float):
+    """Sum over m >= 1 of P{a + m*period < X < b + m*period}, elementwise
+    over broadcast arrays with a < b and b - a <= period.
+
+    Windows whose ceiling b + m*period lies below delta hold no mass and
+    are skipped; the next SERIES_TERMS windows are summed explicitly.  The
+    rest, a smooth function f of m, is the Euler-Maclaurin integral tail
+    with its f' and f''' corrections, written so that alpha = 1 needs no
+    special case.  Returns the sums and a bound on their error: the first
+    omitted Euler-Maclaurin term, a bound because f is completely monotone.
+    """
+    if np.any(a + period <= 0.0):
+        raise ValueError("re-entry window with nonpositive lower edge")
+    first = np.maximum(np.ceil((delta - b) / period), 1.0)
+    shift = (first[..., None] + _TERMS) * period[..., None]
+    explicit = (
+        _survival(a[..., None] + shift, alpha, delta)
+        - _survival(b[..., None] + shift, alpha, delta)
+    ).sum(axis=-1)
+
+    # the tail windows m >= first + SERIES_TERMS all lie past delta, where
+    # f(m) = (delta/(a + m*period))**alpha - (delta/(b + m*period))**alpha;
+    # Euler-Maclaurin in midpoint form integrates from m = first + SERIES_TERMS - 1/2
+    y_a = a + (first + SERIES_TERMS - 0.5) * period
+    y_b = b + (first + SERIES_TERMS - 0.5) * period
+    s_a, s_b = (delta / y_a) ** alpha, (delta / y_b) ** alpha
+    log_ratio = np.log1p((b - a) / y_a)
+    tail = s_a * y_a / period * log_ratio * special.exprel((1.0 - alpha) * log_ratio)
+
+    def derivative(k):
+        rising = math.prod(alpha + j for j in range(k))
+        return (-period) ** k * rising * (s_a / y_a**k - s_b / y_b**k)
+
+    total = explicit + tail + derivative(1) / 24.0 - 7.0 * derivative(3) / 5760.0
+    return total, 31.0 / 967680.0 * np.abs(derivative(5))
+
+
+def _angular(kernel, edges, tangent: float | None = None):
+    """Integral over the panels between consecutive ``edges`` of a
+    vectorized kernel returning (values, error bounds) at given angles,
+    on the fixed Gauss-Legendre rule.
+
+    With ``tangent`` the edges are in u, where theta = tangent*(1 - u**2).
+    Returns the integral and its error: the full rule against its half
+    rule, plus the integrated error bounds of the kernel.
+    """
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    t = edges[:-1, None] + half * (1.0 + _NODES)
+    w = half * _WEIGHTS
+    if tangent is not None:
+        w = w * 2.0 * tangent * t
+        t = tangent * (1.0 - t * t)
+    values, bounds = kernel(t)
+    weighted = w * values
+    full = float(weighted[:, :INNER_NODES].sum())
+    coarse = float(weighted[:, INNER_NODES:].sum())
+    bound = float((w * bounds)[:, :INNER_NODES].sum())
+    return full, abs(full - coarse) + bound
+
+
+def _radial(angular, a, b, args, points=()):
+    """Integral of r * angular(r, *args)[0] over [a, b] by adaptive
+    quadrature with breakpoints ``points``.
+
+    The error adds the quadrature estimate to (b - a) times the largest
+    r * angular(r, *args)[1] seen at the quadrature nodes.
+    """
     if b <= a:
         return 0.0, 0.0
-    pts = None
-    if points:
-        pts = sorted(p for p in points if a < p < b)
-        pts = pts or None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        res = integrate.quad(
-            f, a, b, args=args, epsabs=epsabs, epsrel=epsrel, limit=200,
-            points=pts, full_output=1,
+    worst = [0.0]
+
+    def integrand(r):
+        value, err = angular(r, *args)
+        worst[0] = max(worst[0], r * err)
+        return r * value
+
+    # full output: a missed tolerance shows in the returned error, not as a warning
+    total, err = integrate.quad(
+        integrand, a, b, epsabs=OUTER_EPSABS, epsrel=OUTER_EPSREL, limit=200,
+        points=sorted(p for p in points if a < p < b) or None, full_output=1,
+    )[:2]
+    return total, err + (b - a) * worst[0]
+
+
+def _return_angular(r0, alpha, delta, L, Rd):
+    """Angular integral of the probability that a flight from r0 inside
+    the cell re-enters the macro disk and ends inside the cell."""
+
+    def kernel(theta):
+        l2 = _half_chord(Rd, r0, theta)
+        rt = l2 - r0 * np.cos(theta)
+        period = 2.0 * _half_chord(L, r0, theta)
+        return _reentry_series(rt - 2.0 * l2, rt, period, alpha, delta)
+
+    # the cell's half chord nears a kink at pi/2 as r0 approaches Rd
+    return _angular(kernel, (0.0, 0.5 * math.pi, math.pi))
+
+
+def _outgoing_angular(r0, alpha, delta, Rd):
+    """Angular integral of the probability that a flight from r0 inside
+    the cell ends outside it, before re-entry."""
+    # below theta1 the exit lies within one basic step: a sure exit
+    t1 = _theta1(r0, Rd, delta)
+    split = 0.5 * math.pi if t1 < 0.5 * math.pi else 0.5 * (t1 + math.pi)
+
+    def kernel(theta):
+        return _survival(exit_distance(r0, theta, Rd), alpha, delta), 0.0
+
+    value, err = _angular(kernel, (t1, split, math.pi))
+    return t1 + value, err
+
+
+def _incoming_angular(d0, alpha, delta, L, Rd):
+    """Angular integral of the probability that a flight from d0 outside
+    the cell ends inside it, directly (window m = 0) or after re-entries."""
+    t3 = _theta3(d0, Rd)
+    # theta2 is where a chord end crosses the basic step: a kink
+    u2 = math.sqrt(max(1.0 - _theta2(d0, Rd, delta) / t3, 0.0))
+
+    def kernel(theta):
+        r1, r2 = _chord(Rd, d0, theta)
+        period = 2.0 * _half_chord(L, d0, theta)
+        reentry, bound = _reentry_series(
+            np.stack([r1, -r2]), np.stack([r2, -r1]), period, alpha, delta
         )
-    return res[0], res[1]
+        direct = _survival(r1, alpha, delta) - _survival(r2, alpha, delta)
+        return direct + reentry.sum(axis=0), bound.sum(axis=0)
 
-
-def _reentry_series(a: float, b: float, period: float, alpha: float, delta: float, state: dict) -> float:
-    """Sum over m >= 1 of P{a + m*period < X < b + m*period}, a < b.
-
-    Terms are evaluated in one vectorized sweep up to the cap; the sum
-    stops at the first term below SERIES_TERM_TOL.  Terms must decrease
-    monotonically once the window floor clears the basic step.
-    """
-    xa = a + period * _M
-    xb = b + period * _M
-    if xa[0] <= 0.0:
-        raise ValueError("re-entry window with nonpositive lower edge")
-    terms = _survival_arr(xa, alpha, delta) - _survival_arr(xb, alpha, delta)
-
-    # windows whose floor has not cleared the basic step are clamped (their
-    # terms may even be zero); monotone decay only holds past that point,
-    # and only there may a sub-tolerance term end the summation
-    start = int(np.searchsorted(xa, delta, side="right"))
-    if start < terms.size - 1 and np.any(np.diff(terms[start:]) > 1e-13):
-        raise RuntimeError("re-entry series terms failed the monotone-decay check")
-
-    below = terms[start:] < SERIES_TERM_TOL
-    if below.any():
-        k = start + int(np.argmax(below)) + 1  # include the first sub-tolerance term
-        return float(terms[:k].sum())
-    state["truncated"] = True
-    return float(terms.sum())
-
-
-def _emit_truncation_warning(state: dict, label: str):
-    if state.get("truncated"):
-        warnings.warn(
-            f"{label}: re-entry series capped at {SERIES_MAX_TERMS} terms before "
-            f"reaching the {SERIES_TERM_TOL:g} term tolerance",
-            SeriesTruncationWarning,
-            stacklevel=3,
-        )
+    return _angular(kernel, (0.0, u2, 1.0), tangent=t3)
 
 
 @lru_cache(maxsize=None)
@@ -185,127 +264,37 @@ def _return_correction(alpha: float, delta: float, L: float, Rd: float):
     """Probability that a leaving flight re-enters the macro disk and ends
     back inside the cell: the correction subtracted from the direct
     outgoing probability."""
-    state: dict = {}
-
-    def inner(theta, r0):
-        l2 = _half_chord(Rd, r0, theta)
-        rt = l2 - r0 * math.cos(theta)
-        period = 2.0 * _half_chord(L, r0, theta)
-        return _reentry_series(rt - 2.0 * l2, rt, period, alpha, delta, state)
-
-    def outer(r0):
-        val, _ = _quad(
-            inner, 0.0, math.pi, epsabs=INNER_EPSABS, epsrel=INNER_EPSREL,
-            args=(r0,),
-        )
-        return r0 * val
-
-    total, err = _quad(outer, 0.0, Rd)
-    _emit_truncation_warning(state, "return_correction")
-    return 2.0 / (math.pi * Rd * Rd) * total, 2.0 / (math.pi * Rd * Rd) * err
+    total, err = _radial(_return_angular, 0.0, Rd, (alpha, delta, L, Rd))
+    norm = 2.0 / (math.pi * Rd * Rd)
+    return norm * total, norm * err
 
 
 @lru_cache(maxsize=None)
 def _outgoing(alpha: float, delta: float, L: float, Rd: float):
-    """Direct outgoing probability and quadrature error, before the
-    re-entry correction."""
-
-    def tail_integrand(theta, r0):
-        return _survival(exit_distance(r0, theta, Rd), alpha, delta)
-
-    def near_edge(r0):
-        # users within one basic step of the edge leave for sure inside theta1
-        t1 = _theta1(r0, Rd, delta)
-        tail, _ = _quad(
-            tail_integrand, t1, math.pi, epsabs=INNER_EPSABS, epsrel=INNER_EPSREL,
-            args=(r0,),
-        )
-        return r0 * (t1 + tail)
-
-    def interior(r0):
-        val, _ = _quad(
-            tail_integrand, 0.0, math.pi, epsabs=INNER_EPSABS, epsrel=INNER_EPSREL,
-            args=(r0,),
-        )
-        return r0 * val
-
+    """Direct outgoing probability and its error, before the re-entry
+    correction."""
+    if delta >= 2.0 * Rd:
+        return 1.0, 0.0
+    # users nearer the center than delta - Rd leave for sure in every direction
+    r_sure = max(delta - Rd, 0.0)
+    total, err = _radial(_outgoing_angular, r_sure, Rd, (alpha, delta, Rd), (Rd - delta,))
     norm = 2.0 / (math.pi * Rd * Rd)
-    if delta < Rd:
-        i1, e1 = _quad(interior, 0.0, Rd - delta)
-        i2, e2 = _quad(near_edge, Rd - delta, Rd)
-        return norm * (i1 + i2), norm * (e1 + e2)
-    if delta < 2.0 * Rd:
-        sure = (delta - Rd) ** 2 / Rd**2
-        i2, e2 = _quad(near_edge, delta - Rd, Rd)
-        return sure + norm * i2, norm * e2
-    return 1.0, 0.0
+    return r_sure**2 / Rd**2 + norm * total, norm * err
 
 
 @lru_cache(maxsize=None)
 def _incoming(alpha: float, delta: float, L: float, Rd: float):
     """Average probability that a flight starting outside the cell ends
-    inside it, direct plus re-entry windows.
+    inside it.
 
     The radial density is the uniform law conditioned on starting outside
     the cell, 2*d0/(L**2 - Rd**2), so that the stationary balance
     p_in/(p_in + p_out) = Rd**2/L**2 holds exactly.
     """
-    state: dict = {}
-    d_star = math.hypot(delta, Rd)
-
-    # --- direct entry: the flight stops inside the chord section ---
-    def kern_far(theta, d0):
-        r1, r2 = _chord(Rd, d0, theta)
-        return _survival(r1, alpha, delta) - _survival(r2, alpha, delta)
-
-    def kern_near(theta, d0):
-        _, r2 = _chord(Rd, d0, theta)
-        return 1.0 - _survival(r2, alpha, delta)
-
-    def outer_near(d0):
-        # reachable band: the step circle cuts the cell; below theta2 the
-        # near intersection is closer than one basic step
-        val, _ = _quad(
-            kern_near, 0.0, _theta2(d0, Rd, delta), (), INNER_EPSABS, INNER_EPSREL, (d0,)
-        )
-        return d0 * val
-
-    def outer_mid(d0):
-        t2, t3 = _theta2(d0, Rd, delta), _theta3(d0, Rd)
-        v1, _ = _quad(kern_near, 0.0, t2, (), INNER_EPSABS, INNER_EPSREL, (d0,))
-        v2, _ = _quad(kern_far, t2, t3, (), INNER_EPSABS, INNER_EPSREL, (d0,))
-        return d0 * (v1 + v2)
-
-    def outer_far(d0):
-        val, _ = _quad(kern_far, 0.0, _theta3(d0, Rd), (), INNER_EPSABS, INNER_EPSREL, (d0,))
-        return d0 * val
-
-    a_lo = max(Rd, delta - Rd)
-    a_hi = min(d_star, L)
-    b_hi = min(delta + Rd, L)
-    d1, e1 = _quad(outer_near, a_lo, a_hi)
-    d2, e2 = _quad(outer_mid, a_hi, b_hi)
-    d3, e3 = _quad(outer_far, b_hi, L)
-
-    # --- indirect entry after one or more macro-boundary re-entries ---
-    def kern_indirect(theta, d0):
-        r1, r2 = _chord(Rd, d0, theta)
-        period = 2.0 * _half_chord(L, d0, theta)
-        forward = _reentry_series(r1, r2, period, alpha, delta, state)
-        backward = _reentry_series(-r2, -r1, period, alpha, delta, state)
-        return forward + backward
-
-    def outer_indirect(d0):
-        val, _ = _quad(
-            kern_indirect, 0.0, _theta3(d0, Rd), (), INNER_EPSABS, INNER_EPSREL, (d0,)
-        )
-        return d0 * val
-
-    d4, e4 = _quad(outer_indirect, Rd, L, points=(d_star, delta + Rd))
-    _emit_truncation_warning(state, "incoming_probability")
-
+    points = (delta - Rd, math.hypot(delta, Rd), delta + Rd)
+    total, err = _radial(_incoming_angular, Rd, L, (alpha, delta, L, Rd), points)
     norm = 2.0 / (math.pi * (L * L - Rd * Rd))
-    return norm * (d1 + d2 + d3 + d4), norm * (e1 + e2 + e3 + e4)
+    return norm * total, norm * err
 
 
 def _radius(cfg, r_disk):
@@ -341,7 +330,8 @@ def incoming_probability(cfg, r_disk: float | None = None) -> float:
 
 
 def crossing_probabilities(cfg, r_disk: float | None = None) -> CrossingProbabilities:
-    """Both crossing probabilities with an absolute quadrature error bound."""
+    """Both crossing probabilities with an absolute error bound
+    (quadrature, angular rule and series remainder)."""
     r = _radius(cfg, r_disk)
     p_in, err_in = _incoming(cfg.alpha, cfg.delta, cfg.L, r)
     direct, err_dir = _outgoing(cfg.alpha, cfg.delta, cfg.L, r)

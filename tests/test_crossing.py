@@ -1,12 +1,10 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from hetnet_uplink import (
     NetworkConfig,
-    SeriesTruncationWarning,
     crossing_probabilities,
     exit_distance,
     incoming_probability,
@@ -14,10 +12,17 @@ from hetnet_uplink import (
     outgoing_probability,
     return_correction,
 )
-from hetnet_uplink.crossing import _reentry_series, _theta2, _theta3
+from hetnet_uplink.crossing import (
+    _incoming,
+    _incoming_angular,
+    _outgoing,
+    _reentry_series,
+    _theta2,
+    _theta3,
+)
 from hetnet_uplink.mobility import sample_direction, sample_flight_length
 
-from oracles import trace_flight
+from oracles import crossing_oracle, hurwitz_series, incoming_angular, trace_flight
 
 
 # ---------------------------------------------------------------- geometry
@@ -70,13 +75,11 @@ def test_critical_angles_ordering():
 
 # ---------------------------------------------------------------- series
 
-def test_series_truncation_warning_fires_at_heavy_tail():
-    cfg = NetworkConfig(alpha=0.6, delta=30.0)
-    from hetnet_uplink.crossing import _return_correction
-
-    _return_correction.cache_clear()
-    with pytest.warns(SeriesTruncationWarning):
-        return_correction(cfg)
+def _series(a, b, period, alpha, delta):
+    value, bound = _reentry_series(
+        np.array([a]), np.array([b]), np.array([period]), alpha, delta
+    )
+    return float(value[0]), float(bound[0])
 
 
 def test_series_terms_positive_decreasing_with_power_decay():
@@ -91,20 +94,31 @@ def test_series_terms_positive_decreasing_with_power_decay():
     for m in (200, 500, 1000):
         ratio = terms[2 * m - 1] / terms[m - 1]
         assert ratio == pytest.approx(2.0 ** -(1.0 + alpha), rel=2e-3)
-    # the helper agrees with the plain prefix sum under the term tolerance
-    state = {}
-    got = _reentry_series(a, b, period, alpha, delta, state)
-    assert state.get("truncated") is True
-    full = (delta / (a + period * np.arange(1, 10001))) ** alpha
-    full -= (delta / (b + period * np.arange(1, 10001))) ** alpha
-    assert got == pytest.approx(float(full.sum()), rel=1e-12)
+    # the helper sums the whole series: the Hurwitz zeta difference
+    got, _ = _series(a, b, period, alpha, delta)
+    assert got == pytest.approx(hurwitz_series(a, b, period, alpha, delta), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.53, 0.6, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.8])
+def test_series_matches_hurwitz_zeta_across_alpha(alpha):
+    windows = [
+        (50.0, 150.0, 1000.0, 30.0),        # forward entry window
+        (-560.0, -440.0, 993.0, 30.0),      # backward window
+        (-119.0, 119.0, 990.0, 150.0),      # return window through the cell
+        (1.0, 2.0, 1000.0, 1.0),            # thin window, tiny basic step
+        (10.0, 130.0, 970.0, 1200.0),       # first floors below delta
+        (-300.0, -200.0, 980.0, 5000.0),    # the first five windows are empty
+    ]
+    for a, b, period, delta in windows:
+        exact = hurwitz_series(a, b, period, alpha, delta)
+        got, bound = _series(a, b, period, alpha, delta)
+        assert got == pytest.approx(exact, rel=1e-12)
+        assert bound <= 1e-12 * exact
 
 
 def test_return_correction_vanishes_in_huge_domain():
     cfg = NetworkConfig(L=60.0 * 10**6, R=60.0, R_I=120.0, delta=30.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert return_correction(cfg) < 1e-9
+    assert return_correction(cfg) < 1e-9
 
 
 # ------------------------------------------------------- outgoing / incoming
@@ -115,12 +129,14 @@ def big_step_cfg():
 
 
 def test_outgoing_is_one_minus_reentry_when_step_exceeds_diameter(big_step_cfg):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p_out = outgoing_probability(big_step_cfg)
-        p_re = return_correction(big_step_cfg)
-    assert p_out == pytest.approx(1.0 - p_re, abs=1e-12)
+    cfg = big_step_cfg
+    p_out = outgoing_probability(cfg)
+    p_re = return_correction(cfg)
+    assert p_out == 1.0 - p_re
     assert p_re > 0.0
+    # from delta = 2R on, every flight from inside the cell leaves it directly
+    for delta in (2.0 * cfg.R, cfg.delta):
+        assert _outgoing(cfg.alpha, delta, cfg.L, cfg.R) == (1.0, 0.0)
 
 
 def _mc_crossing(cfg, seed):
@@ -135,18 +151,14 @@ def _mc_crossing(cfg, seed):
 
 def test_outgoing_matches_mc_at_small_step():
     cfg = NetworkConfig(N=2000, delta=5.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p_out = outgoing_probability(cfg)
+    p_out = outgoing_probability(cfg)
     est = _mc_crossing(cfg, 1234).p_out
     assert abs(p_out - est.value) <= 3.0 * est.std_error
 
 
 def test_incoming_small_step_small_positive_and_matches_mc():
     cfg = NetworkConfig(N=2000, delta=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p_in = incoming_probability(cfg)
+    p_in = incoming_probability(cfg)
     assert 0.0 < p_in < 0.01
     est = _mc_crossing(cfg, 99).p_in
     assert abs(p_in - est.value) <= 3.0 * est.std_error or abs(p_in - est.value) <= 0.05 * p_in
@@ -154,9 +166,7 @@ def test_incoming_small_step_small_positive_and_matches_mc():
 
 def test_reentry_correction_matches_mc_event_frequency(big_step_cfg):
     cfg = big_step_cfg
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p_re = return_correction(cfg)
+    p_re = return_correction(cfg)
     rng = np.random.default_rng(7)
     n = 10**6
     rho = cfg.R * np.sqrt(rng.random(n))
@@ -177,10 +187,8 @@ def test_reentry_correction_matches_mc_event_frequency(big_step_cfg):
 
 def test_sweep_shapes_rise_then_fall():
     grid = [1.0, 5.0, 20.0, 50.0, 150.0, 300.0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p_in = [incoming_probability(NetworkConfig(delta=d)) for d in grid]
-        p_out = [outgoing_probability(NetworkConfig(delta=d)) for d in grid]
+    p_in = [incoming_probability(NetworkConfig(delta=d)) for d in grid]
+    p_out = [outgoing_probability(NetworkConfig(delta=d)) for d in grid]
     # outgoing: grows while steps are short, then declines slightly once
     # flights overshoot the macro disk and return
     assert p_out[0] < p_out[1] < p_out[2]
@@ -193,18 +201,16 @@ def test_sweep_shapes_rise_then_fall():
 
 def test_probabilities_within_unit_interval_randomized():
     rng = np.random.default_rng(5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(6):
-            L = 300.0 + rng.random() * 700.0
-            R = 10.0 + rng.random() * (L / 3 - 10.0)
-            delta = 10.0 ** (rng.random() * 2.5)       # 1 .. ~300
-            alpha = 0.53 + rng.random() * 1.28
-            cfg = NetworkConfig(L=L, R=R, R_I=2 * R, alpha=alpha, delta=delta)
-            cp = crossing_probabilities(cfg)
-            assert 0.0 <= cp.p_in <= 1.0
-            assert 0.0 <= cp.p_out <= 1.0
-            assert cp.p_in < cp.p_out
+    for _ in range(6):
+        L = 300.0 + rng.random() * 700.0
+        R = 10.0 + rng.random() * (L / 3 - 10.0)
+        delta = 10.0 ** (rng.random() * 2.5)       # 1 .. ~300
+        alpha = 0.53 + rng.random() * 1.28
+        cfg = NetworkConfig(L=L, R=R, R_I=2 * R, alpha=alpha, delta=delta)
+        cp = crossing_probabilities(cfg)
+        assert 0.0 <= cp.p_in <= 1.0
+        assert 0.0 <= cp.p_out <= 1.0
+        assert cp.p_in < cp.p_out
 
 
 def test_giant_steps_are_pure_reentry():
@@ -212,10 +218,8 @@ def test_giant_steps_are_pure_reentry():
     # count sits below the support floor, so the mass lives deep in the
     # series; verified against the Monte Carlo engine
     cfg = NetworkConfig(N=2000, delta=1200.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p_out = outgoing_probability(cfg)
-        p_in = incoming_probability(cfg)
+    p_out = outgoing_probability(cfg)
+    p_in = incoming_probability(cfg)
     assert 0.0 < p_in < 1.0 and 0.0 < p_out <= 1.0
     run = _mc_crossing(cfg, 404)
     assert abs(p_out - run.p_out.value) <= max(3.0 * run.p_out.std_error, 2e-3)
@@ -224,20 +228,52 @@ def test_giant_steps_are_pure_reentry():
 
 def test_flux_identity_across_steps():
     target = 60.0**2 / 500.0**2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for delta in (5.0, 30.0, 100.0):
-            cp = crossing_probabilities(NetworkConfig(delta=delta))
-            ratio = cp.p_in / (cp.p_in + cp.p_out)
-            assert abs(ratio - target) / target <= 0.05
+    for delta in (5.0, 30.0, 100.0):
+        cp = crossing_probabilities(NetworkConfig(delta=delta))
+        ratio = cp.p_in / (cp.p_in + cp.p_out)
+        assert abs(ratio - target) / target <= 0.05
+
+
+@pytest.mark.parametrize("delta", [1.0, 5.0, 30.0, 100.0, 150.0, 300.0, 1200.0])
+def test_flux_identity_holds_to_quadrature_accuracy(delta):
+    cfg = NetworkConfig(delta=delta)
+    for r in (cfg.R, cfg.R_I):
+        cp = crossing_probabilities(cfg, r)
+        target = r * r / (cfg.L * cfg.L)
+        assert abs(cp.p_in / (cp.p_in + cp.p_out) - target) <= 1e-6 * target
+
+
+@pytest.mark.parametrize("delta, radius", [(30.0, 60.0), (150.0, 120.0)])
+def test_error_estimate_bounds_the_nested_adaptive_oracle(delta, radius):
+    cfg = NetworkConfig(delta=delta)
+    cp = crossing_probabilities(cfg, radius)
+    p_in, p_out = crossing_oracle(cfg.alpha, delta, cfg.L, radius)
+    assert abs(cp.p_in - p_in) <= cp.abs_error_estimate
+    assert abs(cp.p_out - p_out) <= cp.abs_error_estimate
+    assert cp.abs_error_estimate <= 1e-7
+
+
+def test_probabilities_continuous_across_alpha_one():
+    # the series tail has a removable singularity at alpha = 1
+    at_one = crossing_probabilities(NetworkConfig(alpha=1.0))
+    for alpha in (1.0 - 1e-9, 1.0 + 1e-9):
+        cp = crossing_probabilities(NetworkConfig(alpha=alpha))
+        assert cp.p_in == pytest.approx(at_one.p_in, rel=1e-8)
+        assert cp.p_out == pytest.approx(at_one.p_out, rel=1e-8)
+
+
+@pytest.mark.parametrize("delta, radius", [(30.0, 60.0), (150.0, 120.0)])
+@pytest.mark.parametrize("gap", [1e-6, 1e-3])
+def test_tangent_heavy_angular_integral_matches_oracle(delta, radius, gap):
+    # a user just outside the cell sees it under a tangent angle near pi/2,
+    # where the chord ends in a square root over most of the angle range
+    d0 = radius + gap
+    value, _ = _incoming_angular(d0, 0.6, delta, 500.0, radius)
+    assert value == pytest.approx(incoming_angular(d0, 0.6, delta, 500.0, radius), rel=1e-12)
 
 
 def test_memoization_reuses_results(desk_cfg):
-    from hetnet_uplink.crossing import _incoming
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        crossing_probabilities(desk_cfg)
-        hits_before = _incoming.cache_info().hits
-        crossing_probabilities(desk_cfg)
-        assert _incoming.cache_info().hits > hits_before
+    crossing_probabilities(desk_cfg)
+    hits_before = _incoming.cache_info().hits
+    crossing_probabilities(desk_cfg)
+    assert _incoming.cache_info().hits > hits_before
