@@ -21,31 +21,19 @@ to full-size runs (a long wait, announced loudly).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
-from .config import (
-    CellType,
-    ChannelConfig,
-    ConfigError,
-    NetworkConfig,
-    db_to_linear,
-    dbm_to_watts,
-    load_config,
-    validate,
-)
+from .config import (CellType, ChannelConfig, ConfigError, NetworkConfig, db_to_linear,
+                     dbm_to_watts, load_config, validate)
 from .crossing import crossing_probabilities
 from .interference import total_moments
-from .montecarlo import (
-    ExperimentPlan,
-    run_crossing,
-    run_interference,
-    run_occupancy,
-    run_sinr,
-)
+from .montecarlo import ExperimentPlan, run_crossing, run_interference, run_occupancy, run_sinr
 from .occupancy import occupancy_moments
 from .performance import PerformanceQuery, evaluate, success_probability
 
@@ -54,15 +42,7 @@ LN2 = math.log(2.0)
 KAPPA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 11))
 DELTA_GRID_SMALL = (5.0, 30.0, 100.0)
 DELTA_GRID_WIDE = (5.0, 30.0, 100.0, 300.0)
-
-SCENARIO_AXES = {
-    "crossing": "delta",
-    "occupancy": "delta",
-    "interference": "delta",
-    "success": "kappa",
-    "rate": "kappa",
-    "density_sweep": "n",
-}
+N_GRID = (500.0, 1000.0, 2000.0, 4000.0)
 
 FIGURE_ALIASES = {
     "figure6": ("crossing", ("delta", (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0, 200.0, 300.0)), {}),
@@ -71,24 +51,14 @@ FIGURE_ALIASES = {
     "figure9": ("success", ("delta", (1.0, 3.0, 10.0, 30.0, 100.0, 300.0)), {"kappa": 0.9}),
     "figure10": ("rate", ("kappa", KAPPA_GRID), {"cell_type": CellType.CSG, "delta": 3.0}),
     "figure11": ("rate", ("kappa", KAPPA_GRID), {"cell_type": CellType.OSG, "delta": 3.0}),
-    "figure12": ("density_sweep", ("n", (500.0, 1000.0, 2000.0, 4000.0)), {"delta": 3.0, "kappa": 0.9}),
-}
-
-VALID_SCENARIOS = tuple(SCENARIO_AXES) + tuple(FIGURE_ALIASES)
-
-DEFAULT_SWEEPS = {
-    "crossing": DELTA_GRID_SMALL,
-    "occupancy": DELTA_GRID_WIDE,
-    "interference": DELTA_GRID_WIDE,
-    "success": KAPPA_GRID,
-    "rate": KAPPA_GRID,
-    "density_sweep": (500.0, 1000.0, 2000.0, 4000.0),
+    "figure12": ("density_sweep", ("n", N_GRID), {"delta": 3.0, "kappa": 0.9}),
 }
 
 
 @dataclass
 class RunManifest:
-    """Everything one CLI invocation needs, resolved from flags."""
+    """Everything one CLI invocation needs, resolved from flags; these are
+    also the flags' defaults."""
 
     scenario: str
     config_path: str | None = None
@@ -127,259 +97,223 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _plan(manifest: RunManifest) -> ExperimentPlan:
-    return ExperimentPlan(
-        scenario="crossing",
-        replications=manifest.replications,
-        steps_per_replication=manifest.steps,
-        warmup_steps=manifest.warmup,
-        seed=manifest.seed,
-    )
+def _mc(estimate, scale=1.0):
+    """(value, standard error) of a Monte Carlo estimate, or (None, None)."""
+    if estimate is None:
+        return None, None
+    return scale * estimate.value, scale * estimate.std_error
 
 
-def _maybe(condition, fn, *args, **kwargs):
-    return fn(*args, **kwargs) if condition else None
+def _within_3se(checks, name, analytic, value, se, tol=None, show_tol=False):
+    """The gap |analytic - value|, or None when either engine is off.
 
-
-def _gap(a, b):
-    if a is None or b is None:
+    With both values present, appends the check gap <= 3 se; a NaN SE
+    (one replication) bounds nothing and adds no check.  ``tol(analytic,
+    se)`` replaces that bound where given, and None from it adds no check.
+    """
+    if analytic is None or value is None:
         return None
-    return abs(a - b)
+    gap = abs(analytic - value)
+    bound = tol(analytic, se) if tol else None if math.isnan(se) else 3.0 * se
+    if bound is not None:
+        detail = f"gap={gap:.3g} (tol {bound:.3g})" if show_tol else f"gap={gap:.3g}"
+        checks.append(Check(name, gap <= bound, detail))
+    return gap
 
 
-def _scenario_crossing(manifest, cfg, ch, grid, analytic, mc):
-    plan = _plan(manifest)
+# analytic-vs-MC bound of each SINR metric: success within 0.03, rate
+# within 3 SE, or within 2% when one replication gives no SE
+METRIC_TOL = {
+    "success": lambda a, se: 0.03,
+    "rate": lambda a, se: 0.02 * a if math.isnan(se) else 3.0 * se,
+}
+
+
+def _crossing_rows(scenario, manifest, cfg, ch, analytic, plan):
     rows, checks = [], []
-    for delta in grid:
+    for delta in manifest.sweep[1]:
         c = replace(cfg, delta=float(delta))
-        cp = _maybe(analytic, crossing_probabilities, c)
-        est = _maybe(mc, run_crossing, plan, c)
-        row = {
+        cp = crossing_probabilities(c) if analytic else None
+        est = run_crossing(plan, c) if plan else None
+        in_mc, in_se = _mc(est and est.p_in)
+        out_mc, out_se = _mc(est and est.p_out)
+        # a zero SE (every flight ended alike) bounds neither probability
+        bounded = bool(out_se) and not math.isnan(out_se)
+        out_gap = _within_3se(checks, f"crossing:p_out@delta={delta}", cp and cp.p_out,
+                              out_mc, out_se, tol=lambda a, se: 3.0 * se if bounded else None)
+        in_gap = _within_3se(checks, f"crossing:p_in@delta={delta}", cp and cp.p_in, in_mc,
+                             in_se, tol=lambda a, se: max(3.0 * se, 0.05 * a) if bounded else None)
+        rows.append({
             "delta": delta,
-            "p_in_analytic": cp.p_in if cp else None,
-            "p_out_analytic": cp.p_out if cp else None,
-            "p_in_mc": est.p_in.value if est else None,
-            "p_in_se": est.p_in.std_error if est else None,
-            "p_out_mc": est.p_out.value if est else None,
-            "p_out_se": est.p_out.std_error if est else None,
-            "p_in_gap": _gap(cp.p_in if cp else None, est.p_in.value if est else None),
-            "p_out_gap": _gap(cp.p_out if cp else None, est.p_out.value if est else None),
-        }
-        rows.append(row)
-        if cp and est and est.p_out.std_error and not math.isnan(est.p_out.std_error):
-            ok = row["p_out_gap"] <= 3.0 * est.p_out.std_error
-            checks.append(Check(f"crossing:p_out@delta={delta}", ok, f"gap={row['p_out_gap']:.3g}"))
-            ok_in = (
-                row["p_in_gap"] <= 3.0 * est.p_in.std_error
-                or row["p_in_gap"] <= 0.05 * cp.p_in
-            )
-            checks.append(Check(f"crossing:p_in@delta={delta}", ok_in, f"gap={row['p_in_gap']:.3g}"))
+            "p_in_analytic": cp and cp.p_in,
+            "p_out_analytic": cp and cp.p_out,
+            "p_in_mc": in_mc,
+            "p_in_se": in_se,
+            "p_out_mc": out_mc,
+            "p_out_se": out_se,
+            "p_in_gap": in_gap,
+            "p_out_gap": out_gap,
+        })
     return rows, checks
 
 
-def _scenario_occupancy(manifest, cfg, ch, grid, analytic, mc):
-    plan = _plan(manifest)
+def _occupancy_rows(scenario, manifest, cfg, ch, analytic, plan):
     rows, checks = [], []
-    trace_file = open(manifest.trace, "w") if manifest.trace else None
-    if trace_file:
-        trace_file.write("step,user,rho,theta\n")
-    try:
-        for delta in grid:
+    with open(manifest.trace, "w") if manifest.trace else contextlib.nullcontext() as trace:
+        hook = None
+        if trace is not None:
+            trace.write("step,user,rho,theta\n")
+
+            def hook(step, rho, theta):
+                for user, (r, t) in enumerate(zip(rho, theta)):
+                    trace.write(f"{step},{user},{r:.6f},{t:.6f}\n")
+
+        for delta in manifest.sweep[1]:
             c = replace(cfg, delta=float(delta))
             mean_a = var_a = None
             if analytic:
                 cp = crossing_probabilities(c)
                 mom = occupancy_moments(c.N, cp.p_in, cp.p_out)
                 mean_a, var_a = mom.mean, mom.variance
-            est = None
-            if mc:
-                hook = None
-                if trace_file is not None:
-                    def hook(step, rho, theta, _f=trace_file):
-                        for user, (r, t) in enumerate(zip(rho, theta)):
-                            _f.write(f"{step},{user},{r:.6f},{t:.6f}\n")
-                est = run_occupancy(plan, c, trace_hook=hook)
-            row = {
+            est = run_occupancy(plan, c, trace_hook=hook) if plan else None
+            mean_mc, mean_se = _mc(est and est.mean)
+            var_mc, var_se = _mc(est and est.variance)
+            rows.append({
                 "delta": delta,
                 "mean_analytic": mean_a,
                 "var_analytic": var_a,
-                "mean_mc": est.mean.value if est else None,
-                "mean_se": est.mean.std_error if est else None,
-                "var_mc": est.variance.value if est else None,
-                "var_se": est.variance.std_error if est else None,
-                "mean_gap": _gap(mean_a, est.mean.value if est else None),
-            }
-            rows.append(row)
-            if est and mean_a is not None and not math.isnan(est.mean.std_error):
-                ok = row["mean_gap"] <= 3.0 * est.mean.std_error
-                checks.append(Check(f"occupancy:mean@delta={delta}", ok, f"gap={row['mean_gap']:.3g}"))
-    finally:
-        if trace_file:
-            trace_file.close()
+                "mean_mc": mean_mc,
+                "mean_se": mean_se,
+                "var_mc": var_mc,
+                "var_se": var_se,
+                "mean_gap": _within_3se(checks, f"occupancy:mean@delta={delta}",
+                                        mean_a, mean_mc, mean_se),
+            })
     return rows, checks
 
 
-def _scenario_interference(manifest, cfg, ch, grid, analytic, mc):
-    plan = _plan(manifest)
+def _interference_rows(scenario, manifest, cfg, ch, analytic, plan):
     rows, checks = [], []
-    mode = manifest.mode
-    for delta in grid:
+    cells = {"csg": CellType.CSG, "osg": CellType.OSG}
+    for delta in manifest.sweep[1]:
         c = replace(cfg, delta=float(delta))
-        means = {}
-        if analytic:
-            for cell in (CellType.CSG, CellType.OSG):
-                means[cell] = total_moments(replace(c, cell_type=cell), ch)
-        est = _maybe(mc, run_interference, plan, c, ch, mode=mode)
-        row = {
-            "delta": delta,
-            "mode": mode if est else "",
-            "csg_mean_analytic": means[CellType.CSG][0] if means else None,
-            "csg_var_analytic": means[CellType.CSG][1] if means else None,
-            "osg_mean_analytic": means[CellType.OSG][0] if means else None,
-            "osg_var_analytic": means[CellType.OSG][1] if means else None,
-            "csg_mean_mc": est.csg_mean.value if est else None,
-            "csg_mean_se": est.csg_mean.std_error if est else None,
-            "osg_mean_mc": est.osg_mean.value if est else None,
-            "osg_mean_se": est.osg_mean.std_error if est else None,
-            "resampled": est.resampled if est else None,
+        moments = {
+            key: total_moments(replace(c, cell_type=cell), ch) if analytic else (None, None)
+            for key, cell in cells.items()
         }
+        est = run_interference(plan, c, ch, mode=manifest.mode) if plan else None
+        row = {"delta": delta, "mode": manifest.mode if est else ""}
+        for key, (mean, var) in moments.items():
+            row[f"{key}_mean_analytic"], row[f"{key}_var_analytic"] = mean, var
+        for key, mean in (("csg", est and est.csg_mean), ("osg", est and est.osg_mean)):
+            value, se = _mc(mean)
+            row[f"{key}_mean_mc"], row[f"{key}_mean_se"] = value, se
+            _within_3se(checks, f"interference:{key}_mean@delta={delta},{manifest.mode}",
+                        moments[key][0], value, se)
+        row["resampled"] = est.resampled if est else None
         rows.append(row)
-        if est and means and not math.isnan(est.csg_mean.std_error):
-            gap = abs(means[CellType.CSG][0] - est.csg_mean.value)
-            checks.append(
-                Check(
-                    f"interference:csg_mean@delta={delta},{mode}",
-                    gap <= 3.0 * est.csg_mean.std_error,
-                    f"gap={gap:.3g}",
-                )
-            )
     return rows, checks
 
 
-def _needs_crossing(manifest, analytic):
-    """Whether a metric run reads the crossing point of the R_I disk: the
-    analytic engine and stationary Monte Carlo do, live Monte Carlo does not."""
-    return analytic or manifest.mode == "stationary"
+def _sinr_metrics(manifest, ch, analytic, plan):
+    """Evaluator of the SINR metrics at one point.
 
-
-def _scenario_metric(manifest, cfg, ch, grid, analytic, mc, metric):
-    """Shared body of the success and rate scenarios; the sweep axis is
-    kappa unless the grid was declared over delta."""
-    plan = _plan(manifest)
-    axis = manifest.sweep[0] if manifest.sweep else "kappa"
+    ``metrics(c, kappa, names)`` maps each name in ``names`` ("success",
+    "rate") to (analytic value, MC value, MC SE) for a home user at
+    ``kappa`` in a cell of ``c.cell_type``; None where an engine is off,
+    rates in ``--rate-units``.  The R_I crossing point is read once
+    per delta, and only when the analytic engine or stationary Monte Carlo
+    needs it: live Monte Carlo does not.
+    """
     threshold = db_to_linear(manifest.threshold_db)
-    rate_scale = 1.0 if manifest.rate_units == "nats" else 1.0 / LN2
-    rows, checks = [], []
-    p_cache: dict = {}
-    needs_crossing = _needs_crossing(manifest, analytic)
-    for value in grid:
-        if axis == "delta":
-            c = replace(cfg, delta=float(value))
-            kappa = manifest.kappa
-        else:
-            c = cfg
-            kappa = float(value)
+    scale = {"success": 1.0, "rate": 1.0 if manifest.rate_units == "nats" else 1.0 / LN2}
+    points: dict = {}
+
+    def metrics(c, kappa, names):
         query = PerformanceQuery(kappa=kappa, threshold=threshold, cell_type=c.cell_type)
         p_in = p_out = None
-        if needs_crossing:
-            if c.delta not in p_cache:
+        if analytic or manifest.mode == "stationary":
+            if c.delta not in points:
                 cp = crossing_probabilities(c, c.R_I)
-                p_cache[c.delta] = (cp.p_in, cp.p_out)
-            p_in, p_out = p_cache[c.delta]
-        a_val = None
-        if analytic:
-            if metric == "success":
-                a_val = success_probability(query, c, ch, p_in, p_out)
-            else:
-                a_val = rate_scale * evaluate(query, c, ch, p_in, p_out, with_success=False).average_rate
-        est = None
-        if mc:
-            s_est, r_est = run_sinr(plan, c, ch, query, mode=manifest.mode, p_in=p_in, p_out=p_out)
-            est = s_est if metric == "success" else replace(
-                r_est, value=rate_scale * r_est.value, std_error=rate_scale * r_est.std_error
-            )
-        row = {
+                points[c.delta] = cp.p_in, cp.p_out
+            p_in, p_out = points[c.delta]
+        values = {}
+        if analytic and names == ("success",):
+            values["success"] = success_probability(query, c, ch, p_in, p_out)
+        elif analytic:
+            res = evaluate(query, c, ch, p_in, p_out, with_success="success" in names)
+            values = {"success": res.success_probability, "rate": scale["rate"] * res.average_rate}
+        est = (None, None)
+        if plan:
+            est = run_sinr(plan, c, ch, query, mode=manifest.mode, p_in=p_in, p_out=p_out)
+        return {
+            name: (values.get(name), *_mc(e, scale[name]))
+            for name, e in zip(("success", "rate"), est) if name in names
+        }
+
+    return metrics
+
+
+def _metric_rows(scenario, manifest, cfg, ch, analytic, plan):
+    """Success or rate over a kappa or delta grid."""
+    axis, grid = manifest.sweep
+    metrics = _sinr_metrics(manifest, ch, analytic, plan)
+    rows, checks = [], []
+    for value in grid:
+        if axis == "delta":
+            c, kappa = replace(cfg, delta=float(value)), manifest.kappa
+        else:
+            c, kappa = cfg, float(value)
+        a, mc, se = metrics(c, kappa, (scenario,))[scenario]
+        rows.append({
             axis: value,
             "cell_type": c.cell_type.value,
-            f"{metric}_analytic": a_val,
-            f"{metric}_mc": est.value if est else None,
-            f"{metric}_se": est.std_error if est else None,
-            f"{metric}_gap": _gap(a_val, est.value if est else None),
-        }
-        rows.append(row)
-        if est and a_val is not None:
-            if metric == "success":
-                ok = row[f"{metric}_gap"] <= 0.03
-                detail = f"gap={row[f'{metric}_gap']:.3g} (tol 0.03)"
-            else:
-                tol = 3.0 * est.std_error if not math.isnan(est.std_error) else 0.02 * a_val
-                ok = row[f"{metric}_gap"] <= tol
-                detail = f"gap={row[f'{metric}_gap']:.3g} (tol {tol:.3g})"
-            checks.append(Check(f"{metric}@{axis}={value}", ok, detail))
+            f"{scenario}_analytic": a,
+            f"{scenario}_mc": mc,
+            f"{scenario}_se": se,
+            f"{scenario}_gap": _within_3se(checks, f"{scenario}@{axis}={value}", a, mc, se,
+                                          METRIC_TOL[scenario], show_tol=True),
+        })
     return rows, checks
 
 
-def _scenario_density(manifest, cfg, ch, grid, analytic, mc):
-    plan = _plan(manifest)
-    threshold = db_to_linear(manifest.threshold_db)
-    rate_scale = 1.0 if manifest.rate_units == "nats" else 1.0 / LN2
+def _density_rows(scenario, manifest, cfg, ch, analytic, plan):
+    """Success and rate over user counts, for both cell types."""
+    metrics = _sinr_metrics(manifest, ch, analytic, plan)
     rows, checks = [], []
-    p_in = p_out = None
-    if _needs_crossing(manifest, analytic):
-        cp = crossing_probabilities(cfg, cfg.R_I)
-        p_in, p_out = cp.p_in, cp.p_out
     series: dict = {}
-    for n in grid:
+    for n in manifest.sweep[1]:
         for cell in (CellType.CSG, CellType.OSG):
             c = replace(cfg, N=int(n), cell_type=cell)
-            query = PerformanceQuery(kappa=manifest.kappa, threshold=threshold, cell_type=cell)
-            s_a = r_a = None
-            if analytic:
-                res = evaluate(query, c, ch, p_in, p_out)
-                s_a, r_a = res.success_probability, rate_scale * res.average_rate
-            est = None
-            if mc:
-                est = run_sinr(plan, c, ch, query, mode=manifest.mode, p_in=p_in, p_out=p_out)
-            rows.append(
-                {
-                    "n_users": int(n),
-                    "cell_type": cell.value,
-                    "success_analytic": s_a,
-                    "rate_analytic": r_a,
-                    "success_mc": est[0].value if est else None,
-                    "success_se": est[0].std_error if est else None,
-                    "rate_mc": rate_scale * est[1].value if est else None,
-                    "rate_se": rate_scale * est[1].std_error if est else None,
-                }
-            )
-            if s_a is not None:
-                series.setdefault(("success", cell), []).append(s_a)
-                series.setdefault(("rate", cell), []).append(r_a)
+            m = metrics(c, manifest.kappa, ("success", "rate"))
+            row = {"n_users": int(n), "cell_type": cell.value}
+            row.update({f"{name}_analytic": a for name, (a, _, _) in m.items()})
+            for name, (a, value, se) in m.items():
+                row[f"{name}_mc"], row[f"{name}_se"] = value, se
+                if a is not None:
+                    series.setdefault((name, cell), []).append(a)
+            rows.append(row)
     for (metric, cell), values in series.items():
         monotone = all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-        checks.append(
-            Check(
-                f"density:{metric}:{cell.value}:nonincreasing",
-                monotone,
-                ",".join(f"{v:.4g}" for v in values),
-            )
-        )
+        checks.append(Check(f"density:{metric}:{cell.value}:nonincreasing", monotone,
+                            ",".join(f"{v:.4g}" for v in values)))
     return rows, checks
 
 
-_SCENARIO_RUNNERS = {
-    "crossing": _scenario_crossing,
-    "occupancy": _scenario_occupancy,
-    "interference": _scenario_interference,
-    "success": lambda *a: _scenario_metric(*a, metric="success"),
-    "rate": lambda *a: _scenario_metric(*a, metric="rate"),
-    "density_sweep": _scenario_density,
+# scenario -> (sweep axis, default grid, row builder)
+SCENARIOS = {
+    "crossing": ("delta", DELTA_GRID_SMALL, _crossing_rows),
+    "occupancy": ("delta", DELTA_GRID_WIDE, _occupancy_rows),
+    "interference": ("delta", DELTA_GRID_WIDE, _interference_rows),
+    "success": ("kappa", KAPPA_GRID, _metric_rows),
+    "rate": ("kappa", KAPPA_GRID, _metric_rows),
+    "density_sweep": ("n", N_GRID, _density_rows),
 }
+
+VALID_SCENARIOS = tuple(SCENARIOS) + tuple(FIGURE_ALIASES)
 
 
 def _write_outputs(manifest, columns, rows, checks, elapsed):
-    from pathlib import Path
-
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = manifest.scenario
@@ -411,18 +345,19 @@ def _write_outputs(manifest, columns, rows, checks, elapsed):
     return path
 
 
+def _fail(message: str, status: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return status
+
+
 def run(manifest: RunManifest) -> int:
     """Execute one manifest; returns the process exit status.
 
     Resolved defaults go into copies; the caller's manifest is left as given.
     """
     if manifest.scenario not in VALID_SCENARIOS:
-        print(
-            f"error: unknown scenario {manifest.scenario!r}; valid scenarios: "
-            + ", ".join(VALID_SCENARIOS),
-            file=sys.stderr,
-        )
-        return 2
+        return _fail(f"unknown scenario {manifest.scenario!r}; valid scenarios: "
+                     + ", ".join(VALID_SCENARIOS), 2)
 
     try:
         if manifest.config_path:
@@ -433,59 +368,43 @@ def run(manifest: RunManifest) -> int:
             ch = replace(ch, P_t_m=dbm_to_watts(manifest.ptm_dbm))
         validate(cfg, ch)
     except (ConfigError, OSError) as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"config: {exc}", 2)
 
-    scenario = manifest.scenario
-    fixed: dict = {}
-    if scenario in FIGURE_ALIASES:
-        scenario, default_sweep, fixed = FIGURE_ALIASES[manifest.scenario]
-        if manifest.sweep is None:
-            manifest = replace(manifest, sweep=default_sweep)
-    if "delta" in fixed:
-        cfg = replace(cfg, delta=fixed["delta"])
-    if "cell_type" in fixed:
-        cfg = replace(cfg, cell_type=fixed["cell_type"])
-    if "kappa" in fixed:
-        manifest = replace(manifest, kappa=fixed["kappa"])
-
-    axis = SCENARIO_AXES[scenario]
-    if manifest.sweep is not None:
-        key, values = manifest.sweep
-        allowed = {axis} | ({"delta", "kappa"} if scenario in ("success", "rate") else set())
-        if key not in allowed:
-            print(
-                f"error: scenario {scenario!r} sweeps over {sorted(allowed)}, got {key!r}",
-                file=sys.stderr,
-            )
-            return 2
-        grid = values
-    else:
-        manifest = replace(manifest, sweep=(axis, DEFAULT_SWEEPS[scenario]))
-        grid = DEFAULT_SWEEPS[scenario]
+    scenario, alias_sweep, fixed = FIGURE_ALIASES.get(manifest.scenario,
+                                                      (manifest.scenario, None, {}))
+    axis, default_grid, rows_of = SCENARIOS[scenario]
+    key, grid = manifest.sweep or alias_sweep or (axis, default_grid)
+    allowed = {axis} | ({"delta", "kappa"} if scenario in ("success", "rate") else set())
+    if key not in allowed:
+        return _fail(f"scenario {scenario!r} sweeps over {sorted(allowed)}, got {key!r}", 2)
+    mc = manifest.engine in ("mc", "both")
+    if manifest.trace and not (scenario == "occupancy" and mc):
+        return _fail("--trace records the positions of a Monte Carlo occupancy run; "
+                     "it needs --scenario occupancy with --engine mc or both", 2)
+    cfg = replace(cfg, **{k: v for k, v in fixed.items() if k != "kappa"})
+    manifest = replace(manifest, sweep=(key, grid), kappa=fixed.get("kappa", manifest.kappa))
 
     if manifest.full_scale:
-        print(
-            "warning: full-scale run (10^6 steps per replication); this takes hours",
-            file=sys.stderr,
-        )
+        print("warning: full-scale run (10^6 steps per replication); this takes hours",
+              file=sys.stderr)
         manifest = replace(manifest, steps=1_000_000, warmup=1_000)
         cfg = replace(cfg, N=10_000) if manifest.config_path is None else cfg
 
     analytic = manifest.engine in ("analytic", "both")
-    mc = manifest.engine in ("mc", "both")
-
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
-        rows, checks = _SCENARIO_RUNNERS[scenario](manifest, cfg, ch, grid, analytic, mc)
+        plan = None
+        if mc:
+            plan = ExperimentPlan("crossing", replications=manifest.replications,
+                                  steps_per_replication=manifest.steps,
+                                  warmup_steps=manifest.warmup, seed=manifest.seed)
+        rows, checks = rows_of(scenario, manifest, cfg, ch, analytic, plan)
     except Exception as exc:  # quadrature/budget failures surface by name
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"{type(exc).__name__}: {exc}", 1)
     if not rows:
-        print("error: no rows produced", file=sys.stderr)
-        return 1
+        return _fail("no rows produced", 1)
     columns = list(rows[0].keys())
-    path = _write_outputs(manifest, columns, rows, checks, time.time() - t0)
+    path = _write_outputs(manifest, columns, rows, checks, time.perf_counter() - t0)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 
@@ -504,6 +423,7 @@ def _parse_sweep(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line flags; their defaults are ``RunManifest``'s."""
     p = argparse.ArgumentParser(
         prog="hetnet-uplink",
         description="Evaluate the mobility-aware uplink interference model "
@@ -512,35 +432,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", dest="config_path", help="key-value config file")
     p.add_argument("--scenario", required=True, help=f"one of: {', '.join(VALID_SCENARIOS)}")
     p.add_argument("--sweep", type=_parse_sweep, help="override grid, e.g. delta=5,30,100")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", choices=("analytic", "mc", "both"), default="both")
-    p.add_argument("--out", dest="out_dir", default="results")
-    p.add_argument("--format", dest="output_format", choices=("csv", "records"), default="csv")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--engine", choices=("analytic", "mc", "both"))
+    p.add_argument("--out", dest="out_dir")
+    p.add_argument("--format", dest="output_format", choices=("csv", "records"))
     p.add_argument(
         "--no-header-timestamp",
         dest="timestamp_header",
         action="store_false",
         help="suppress the timestamp comment so reruns are byte-identical",
     )
-    p.add_argument("--replications", type=int, default=4)
-    p.add_argument("--steps", type=int, default=20_000)
-    p.add_argument("--warmup", type=int, default=1_000)
-    p.add_argument("--mode", choices=("stationary", "live"), default="stationary")
-    p.add_argument("--threshold-db", dest="threshold_db", type=float, default=-60.0)
-    p.add_argument("--kappa", type=float, default=0.9)
-    p.add_argument("--rate-units", dest="rate_units", choices=("nats", "bits"), default="nats")
+    p.add_argument("--replications", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--warmup", type=int)
+    p.add_argument("--mode", choices=("stationary", "live"))
+    p.add_argument("--threshold-db", dest="threshold_db", type=float)
+    p.add_argument("--kappa", type=float)
+    p.add_argument("--rate-units", dest="rate_units", choices=("nats", "bits"))
     p.add_argument("--ptm-dbm", dest="ptm_dbm", type=float, help="override macro-user power")
-    p.add_argument("--trace", help="write per-(step,user) positions (occupancy scenario)")
+    p.add_argument("--trace", help="write per-(step,user) positions (occupancy scenario, "
+                   "Monte Carlo engine)")
     p.add_argument("--full-scale", dest="full_scale", action="store_true")
+    p.set_defaults(**{f.name: f.default for f in fields(RunManifest) if f.name != "scenario"})
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    manifest = RunManifest(**vars(args))
-    if manifest.output_format == "records":
-        manifest.output_format = "jsonl"
-    return run(manifest)
+    return run(RunManifest(**vars(build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

@@ -122,8 +122,6 @@ class CrossingProbabilities:
 
     p_in: float
     p_out: float
-    radius: float
-    delta: float
     abs_error_estimate: float
 
 
@@ -345,7 +343,5 @@ def crossing_probabilities(cfg, r_disk: float | None = None) -> CrossingProbabil
     return CrossingProbabilities(
         p_in=min(max(p_in, 0.0), 1.0),
         p_out=min(max(p_out, 0.0), 1.0),
-        radius=r,
-        delta=cfg.delta,
         abs_error_estimate=err,
     )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from scipy import integrate
 
@@ -33,7 +32,6 @@ class InterfererMoments:
 
     first: float
     second: float
-    cell_type: CellType
 
 
 def _ring_moments(ch: ChannelConfig, lo: float, hi: float):
@@ -57,7 +55,7 @@ def csg_interferer_moments(ch: ChannelConfig, R_I: float) -> InterfererMoments:
     if R_I <= 1.0:
         raise ValueError(f"R_I must exceed 1 m, got {R_I}")
     first, second = _ring_moments(ch, 1.0, R_I)
-    return InterfererMoments(first, second, CellType.CSG)
+    return InterfererMoments(first, second)
 
 
 def osg_interferer_moments(ch: ChannelConfig, R: float, R_I: float) -> InterfererMoments:
@@ -65,7 +63,7 @@ def osg_interferer_moments(ch: ChannelConfig, R: float, R_I: float) -> Interfere
     if not 1.0 <= R < R_I:
         raise ValueError(f"need 1 <= R < R_I, got R={R}, R_I={R_I}")
     first, second = _ring_moments(ch, R, R_I)
-    return InterfererMoments(first, second, CellType.OSG)
+    return InterfererMoments(first, second)
 
 
 def _rayleigh_mgf_ring(s: float, ch: ChannelConfig, lo: float, hi: float) -> float:
@@ -87,34 +85,13 @@ def _rayleigh_mgf_ring(s: float, ch: ChannelConfig, lo: float, hi: float) -> flo
     return 1.0 + 2.0 * c / area * integral
 
 
-def _general_mgf_ring(s, ch, lo, hi, gain_pdf):
-    """Double quadrature over (distance, gain) for a non-exponential gain law."""
-    area = hi * hi - lo * lo
-
-    def over_gain(y):
-        val, _ = integrate.quad(
-            lambda g: math.exp(s * g * ch.P_t_m / y**ch.beta) * gain_pdf(g),
-            0.0, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200,
-        )
-        return val * 2.0 * y / area
-
-    val, _ = integrate.quad(over_gain, lo, hi, epsabs=1e-10, epsrel=1e-9, limit=200)
-    return val
-
-
 def interferer_mgf(
-    s: float,
-    ch: ChannelConfig,
-    cell_type: CellType,
-    R: float,
-    R_I: float,
-    gain_pdf: Callable[[float], float] | None = None,
+    s: float, ch: ChannelConfig, cell_type: CellType, R: float, R_I: float
 ) -> float:
     """MGF of one interferer's power at s <= 0.
 
-    Without ``gain_pdf`` the gain is exponential (Rayleigh power), giving
-    the radial-integral form with closed expressions at beta = 2 and 4.
-    A custom gain density routes to double numeric integration.
+    The gain is exponential (Rayleigh power), giving the radial-integral
+    form with closed expressions at beta = 2 and 4.
     """
     if s > 0.0:
         raise ValueError("interferer MGF is only evaluated at s <= 0")
@@ -123,11 +100,7 @@ def interferer_mgf(
         raise ValueError(f"need 1 <= R < R_I, got R={R}, R_I={R_I}")
     if R_I <= lo:
         raise ValueError(f"R_I must exceed {lo}, got {R_I}")
-    if gain_pdf is None:
-        return _rayleigh_mgf_ring(s, ch, lo, R_I)
-    if s == 0.0:
-        return 1.0
-    return _general_mgf_ring(s, ch, lo, R_I, gain_pdf)
+    return _rayleigh_mgf_ring(s, ch, lo, R_I)
 
 
 def _eta(cfg: NetworkConfig, p_in, p_out):

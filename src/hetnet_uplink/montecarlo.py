@@ -67,7 +67,6 @@ class OccupancyRun:
     mean: EstimateWithError
     variance: EstimateWithError
     histogram: np.ndarray
-    thin: int
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ class InterferenceRun:
     osg_mean: EstimateWithError
     osg_variance: EstimateWithError
     resampled: int
-    mode: str
 
 
 def _substreams(seed: int, n: int):
@@ -188,7 +186,6 @@ def run_occupancy(
         mean=_pool(means, post),
         variance=_pool(variances, post),
         histogram=histogram,
-        thin=thin,
     )
 
 
@@ -259,7 +256,6 @@ def run_interference(
         osg_mean=_pool(o_means, n),
         osg_variance=_pool(o_vars, n),
         resampled=resampled,
-        mode=mode,
     )
 
 

@@ -224,3 +224,52 @@ def test_run_leaves_the_manifest_unchanged(tmp_path, config_file):
     given = replace(manifest)
     assert run(manifest) == 0
     assert manifest == given
+
+
+def test_analytic_engine_ignores_monte_carlo_effort_flags(tmp_path, config_file):
+    status = main([
+        "--scenario", "crossing", "--config", str(config_file), "--engine", "analytic",
+        "--sweep", "delta=30", "--replications", "0", "--out", str(tmp_path),
+    ])
+    assert status == 0
+    _, rows = _read_table(tmp_path / "crossing.csv")
+    assert rows[0]["p_in_analytic"] != ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--scenario", "success", "--sweep", "kappa=0.9"],
+    ["--scenario", "occupancy", "--engine", "analytic", "--sweep", "delta=30"],
+])
+def test_trace_refused_without_occupancy_monte_carlo(tmp_path, config_file, capsys, flags):
+    trace = tmp_path / "trace.csv"
+    status = main([*flags, "--config", str(config_file), "--trace", str(trace),
+                   "--out", str(tmp_path)])
+    assert status == 2
+    assert "--trace" in capsys.readouterr().err
+    assert not trace.exists()
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_interference_checks_both_cell_types(tmp_path, config_file):
+    status = main([
+        "--scenario", "interference", "--config", str(config_file), "--sweep", "delta=30",
+        "--steps", "400", "--warmup", "0", "--replications", "4", "--seed", "2",
+        "--out", str(tmp_path),
+    ])
+    assert status == 0
+    checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == [
+        "interference:csg_mean@delta=30.0,stationary",
+        "interference:osg_mean@delta=30.0,stationary",
+    ]
+    assert all(c["passed"] for c in checks)
+
+
+@pytest.mark.parametrize("scenario", ["crossing", "figure12"])
+def test_flag_defaults_are_the_manifest_defaults(monkeypatch, scenario):
+    from hetnet_uplink import cli
+
+    parsed = []
+    monkeypatch.setattr(cli, "run", lambda manifest: parsed.append(manifest) or 0)
+    assert main(["--scenario", scenario]) == 0
+    assert parsed == [cli.RunManifest(scenario)]

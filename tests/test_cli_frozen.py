@@ -1,0 +1,108 @@
+"""Frozen CLI outputs: a fixed set of in-process invocations must give the
+same exit codes, console lines, tables and summaries, byte for byte.
+
+The expected outputs in ``cli_frozen.json`` were recorded before the CLI's
+scenario code was rewritten around one scenario table and one metric
+evaluator.  Summaries are compared without ``elapsed_seconds`` (a
+timing) and without the ``interference:osg_mean`` checks, which were added
+after the recording; the trace file is compared by its SHA-256.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from hetnet_uplink.cli import main
+
+EXPECTED = Path(__file__).parent / "cli_frozen.json"
+
+MC = ["--steps", "40", "--warmup", "10", "--replications", "2", "--seed", "5"]
+
+# name -> (argv after --config/--out, config file text)
+CASES = {
+    "crossing-both": (["--scenario", "crossing", *MC], None),
+    "occupancy-trace": (["--scenario", "occupancy", "--sweep", "delta=30", *MC,
+                         "--trace", "{tmp}/trace.csv"], None),
+    "occupancy-analytic-records": (["--scenario", "occupancy", "--engine", "analytic",
+                                    "--format", "records"], None),
+    "interference-stationary": (["--scenario", "interference", "--sweep", "delta=30,100",
+                                 *MC], None),
+    "interference-live-mc": (["--scenario", "interference", "--engine", "mc", "--mode",
+                              "live", "--sweep", "delta=30", *MC], None),
+    "success-both": (["--scenario", "success", *MC], None),
+    "success-delta-axis": (["--scenario", "success", "--sweep", "delta=30,100",
+                            "--kappa", "0.5", "--threshold-db", "-55", *MC], None),
+    "rate-bits-ptm": (["--scenario", "rate", "--rate-units", "bits", "--sweep",
+                       "kappa=0.3,0.9", "--ptm-dbm", "17", *MC], None),
+    "rate-live-records": (["--scenario", "rate", "--engine", "mc", "--mode", "live",
+                           "--sweep", "kappa=0.5", "--format", "records", *MC], None),
+    "density-both": (["--scenario", "density_sweep", "--sweep", "n=200,400", *MC], None),
+    "density-live-bits": (["--scenario", "density_sweep", "--mode", "live", "--sweep",
+                           "n=200", "--rate-units", "bits", *MC], None),
+    "figure7": (["--scenario", "figure7", *MC], None),
+    "figure9-analytic": (["--scenario", "figure9", "--engine", "analytic"], None),
+    "figure12-records": (["--scenario", "figure12", "--format", "records", *MC], None),
+    "full-scale-analytic": (["--scenario", "crossing", "--engine", "analytic",
+                             "--full-scale", "--sweep", "delta=30"], None),
+    "unknown-scenario": (["--scenario", "figure99"], None),
+    "bad-config": (["--scenario", "crossing"], "R_I = 700\n"),
+    "sweep-mismatch": (["--scenario", "occupancy", "--sweep", "kappa=0.5"], None),
+    "mc-plan-error": (["--scenario", "success", "--engine", "mc", "--steps", "40",
+                       "--warmup", "50"], None),
+}
+
+CONFIG = "N = 200\ndelta = 30\ncell_type = CSG\n"
+
+
+def _normalize_summary(summary: dict) -> dict:
+    summary = dict(summary)
+    summary.pop("elapsed_seconds")
+    summary["checks"] = [
+        c for c in summary["checks"] if not c["name"].startswith("interference:osg_mean")
+    ]
+    return summary
+
+
+def observe(name: str, tmp_path: Path, capsys) -> dict:
+    """Run one case in process and collect what it wrote, with the
+    temporary directory replaced by ``{tmp}``."""
+    argv, config_text = CASES[name]
+    tmp = tmp_path / name
+    tmp.mkdir()
+    config = tmp / "desk.cfg"
+    config.write_text(config_text or CONFIG)
+    out = tmp / "out"
+    argv = [a.replace("{tmp}", str(tmp)) for a in argv]
+    capsys.readouterr()
+    status = main([*argv, "--config", str(config), "--out", str(out),
+                   "--no-header-timestamp"])
+    console = capsys.readouterr()
+    got = {
+        "status": status,
+        "stdout": console.out.replace(str(tmp), "{tmp}"),
+        "stderr": console.err.replace(str(tmp), "{tmp}"),
+    }
+    tables = sorted(p for p in out.glob("*") if p.name != "summary.json") if out.exists() else []
+    got["tables"] = {p.name: p.read_text() for p in tables}
+    summary = out / "summary.json"
+    if summary.exists():
+        got["summary"] = json.loads(summary.read_text().replace(str(tmp), "{tmp}"))
+    trace = tmp / "trace.csv"
+    if trace.exists():
+        got["trace_sha256"] = hashlib.sha256(trace.read_bytes()).hexdigest()
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_outputs_frozen(name, tmp_path, capsys):
+    want = json.loads(EXPECTED.read_text())[name]
+    got = observe(name, tmp_path, capsys)
+    assert got["status"] == want["status"]
+    assert got["stdout"] == want["stdout"]
+    assert got["stderr"] == want["stderr"]
+    assert got["tables"] == want["tables"]
+    assert got.get("trace_sha256") == want.get("trace_sha256")
+    assert ("summary" in got) == ("summary" in want)
+    if "summary" in want:
+        assert _normalize_summary(got["summary"]) == _normalize_summary(want["summary"])

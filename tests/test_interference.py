@@ -149,15 +149,6 @@ def test_mgf_general_beta_between_closed_forms(channel):
     assert g2 < g3 < g4 < 1.0   # weaker interference at higher pathloss
 
 
-def test_mgf_custom_gain_density_matches_rayleigh(channel):
-    # exponential density supplied explicitly must reproduce the closed form
-    pdf = lambda g: math.exp(-g)
-    s = -0.2
-    got = interferer_mgf(s, replace(channel, beta=3.0), CellType.CSG, R, R_I, gain_pdf=pdf)
-    want = interferer_mgf(s, replace(channel, beta=3.0), CellType.CSG, R, R_I)
-    assert got == pytest.approx(want, rel=1e-6)
-
-
 # ------------------------------------------------------------- totals
 
 def test_total_mgf_trivial_points(desk_cfg, channel, probs_at_RI):
