@@ -109,7 +109,7 @@ def _within_3se(checks, name, analytic, value, se, tol=None, show_tol=False):
 
     With both values present, appends the check gap <= 3 se; a NaN SE
     (one replication) bounds nothing and adds no check.  ``tol(analytic,
-    se)`` replaces that bound where given, and None from it adds no check.
+    se)`` replaces that bound where given.
     """
     if analytic is None or value is None:
         return None
@@ -137,12 +137,19 @@ def _crossing_rows(scenario, manifest, cfg, ch, analytic, plan):
         est = run_crossing(plan, c) if plan else None
         in_mc, in_se = _mc(est and est.p_in)
         out_mc, out_se = _mc(est and est.p_out)
-        # a zero SE (every flight ended alike) bounds neither probability
-        bounded = bool(out_se) and not math.isnan(out_se)
+        flights = est and est.p_in.sample_count
+
+        def bound(a, se):
+            # 3 SE, the SE floored at the binomial SE of the analytic value
+            # over the flights run: replications whose flights all ended
+            # alike report SE 0, and one replication reports NaN
+            floor = math.sqrt(a * (1.0 - a) / flights)
+            return 3.0 * (floor if math.isnan(se) else max(se, floor))
+
         out_gap = _within_3se(checks, f"crossing:p_out@delta={delta}", cp and cp.p_out,
-                              out_mc, out_se, tol=lambda a, se: 3.0 * se if bounded else None)
+                              out_mc, out_se, tol=bound)
         in_gap = _within_3se(checks, f"crossing:p_in@delta={delta}", cp and cp.p_in, in_mc,
-                             in_se, tol=lambda a, se: max(3.0 * se, 0.05 * a) if bounded else None)
+                             in_se, tol=lambda a, se: max(bound(a, se), 0.05 * a))
         rows.append({
             "delta": delta,
             "p_in_analytic": cp and cp.p_in,
@@ -216,58 +223,69 @@ def _interference_rows(scenario, manifest, cfg, ch, analytic, plan):
 
 
 def _sinr_metrics(manifest, ch, analytic, plan):
-    """Evaluator of the SINR metrics at one point.
+    """Evaluator of the SINR metrics over a set of kappa.
 
-    ``metrics(c, kappa, names)`` maps each name in ``names`` ("success",
-    "rate") to (analytic value, MC value, MC SE) for a home user at
-    ``kappa`` in a cell of ``c.cell_type``; None where an engine is off,
-    rates in ``--rate-units``.  The R_I crossing point is read once
-    per delta, and only when the analytic engine or stationary Monte Carlo
-    needs it: live Monte Carlo does not.
+    ``metrics(c, kappas, names)`` gives, for each kappa in ``kappas``, a map
+    from each name in ``names`` ("success", "rate") to (analytic value, MC
+    value, MC SE) for a home user at that kappa in a cell of
+    ``c.cell_type``; None where an engine is off, rates in
+    ``--rate-units``.  All kappa of one call are scored by one ``run_sinr``
+    call on one set of draws (common random numbers): a kappa sweep samples
+    the interference once, and a live one steps the population once.  The
+    R_I crossing point is read once per delta, and only when the analytic
+    engine or stationary Monte Carlo needs it: live Monte Carlo does not.
     """
     threshold = db_to_linear(manifest.threshold_db)
     scale = {"success": 1.0, "rate": 1.0 if manifest.rate_units == "nats" else 1.0 / LN2}
     points: dict = {}
 
-    def metrics(c, kappa, names):
-        query = PerformanceQuery(kappa=kappa, threshold=threshold, cell_type=c.cell_type)
+    def metrics(c, kappas, names):
+        queries = [PerformanceQuery(kappa=k, threshold=threshold, cell_type=c.cell_type)
+                   for k in kappas]
         p_in = p_out = None
         if analytic or manifest.mode == "stationary":
             if c.delta not in points:
                 cp = crossing_probabilities(c, c.R_I)
                 points[c.delta] = cp.p_in, cp.p_out
             p_in, p_out = points[c.delta]
-        values = {}
-        if analytic and names == ("success",):
-            values["success"] = success_probability(query, c, ch, p_in, p_out)
-        elif analytic:
+
+        def analytic_values(query):
+            if not analytic:
+                return {}
+            if names == ("success",):
+                return {"success": success_probability(query, c, ch, p_in, p_out)}
             res = evaluate(query, c, ch, p_in, p_out, with_success="success" in names)
-            values = {"success": res.success_probability, "rate": scale["rate"] * res.average_rate}
-        est = (None, None)
+            return {"success": res.success_probability, "rate": scale["rate"] * res.average_rate}
+
+        values = [analytic_values(query) for query in queries]
+        estimates = [(None, None)] * len(queries)
         if plan:
-            est = run_sinr(plan, c, ch, query, mode=manifest.mode, p_in=p_in, p_out=p_out)
-        return {
-            name: (values.get(name), *_mc(e, scale[name]))
-            for name, e in zip(("success", "rate"), est) if name in names
-        }
+            estimates = run_sinr(plan, c, ch, queries, mode=manifest.mode, p_in=p_in, p_out=p_out)
+        return [
+            {name: (v.get(name), *_mc(e, scale[name]))
+             for name, e in zip(("success", "rate"), est) if name in names}
+            for v, est in zip(values, estimates)
+        ]
 
     return metrics
 
 
 def _metric_rows(scenario, manifest, cfg, ch, analytic, plan):
-    """Success or rate over a kappa or delta grid."""
+    """Success or rate over a kappa or delta grid; a kappa grid is
+    evaluated in one ``metrics`` call."""
     axis, grid = manifest.sweep
     metrics = _sinr_metrics(manifest, ch, analytic, plan)
+    if axis == "delta":
+        results = [metrics(replace(cfg, delta=float(value)), (manifest.kappa,), (scenario,))[0]
+                   for value in grid]
+    else:
+        results = metrics(cfg, [float(value) for value in grid], (scenario,))
     rows, checks = [], []
-    for value in grid:
-        if axis == "delta":
-            c, kappa = replace(cfg, delta=float(value)), manifest.kappa
-        else:
-            c, kappa = cfg, float(value)
-        a, mc, se = metrics(c, kappa, (scenario,))[scenario]
+    for value, m in zip(grid, results):
+        a, mc, se = m[scenario]
         rows.append({
             axis: value,
-            "cell_type": c.cell_type.value,
+            "cell_type": cfg.cell_type.value,
             f"{scenario}_analytic": a,
             f"{scenario}_mc": mc,
             f"{scenario}_se": se,
@@ -285,7 +303,7 @@ def _density_rows(scenario, manifest, cfg, ch, analytic, plan):
     for n in manifest.sweep[1]:
         for cell in (CellType.CSG, CellType.OSG):
             c = replace(cfg, N=int(n), cell_type=cell)
-            m = metrics(c, manifest.kappa, ("success", "rate"))
+            m = metrics(c, (manifest.kappa,), ("success", "rate"))[0]
             row = {"n_users": int(n), "cell_type": cell.value}
             row.update({f"{name}_analytic": a for name, (a, _, _) in m.items()})
             for name, (a, value, se) in m.items():

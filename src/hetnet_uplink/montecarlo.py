@@ -15,6 +15,7 @@ population, which additionally captures whatever those assumptions miss.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,42 +264,62 @@ def run_sinr(
     plan: ExperimentPlan,
     cfg: NetworkConfig,
     ch: ChannelConfig,
-    query: PerformanceQuery,
+    query: PerformanceQuery | Sequence[PerformanceQuery],
     mode: str = "stationary",
     p_in: float | None = None,
     p_out: float | None = None,
-) -> tuple[EstimateWithError, EstimateWithError]:
-    """Empirical success probability and average rate [nats/s] at kappa."""
+) -> tuple[EstimateWithError, EstimateWithError] | list[tuple[EstimateWithError, EstimateWithError]]:
+    """Empirical success probability and average rate [nats/s] at kappa.
+
+    One query gives one (success, rate) pair.  A sequence of queries of one
+    cell type gives one pair per query, all scored on the same draws: the
+    interference and serving-link fading of each replication are drawn once
+    (common random numbers), so every pair equals its single-query run bit
+    for bit.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    single = isinstance(query, PerformanceQuery)
+    queries = [query] if single else list(query)
+    if not queries:
+        raise ValueError("run_sinr needs at least one query")
+    if len({target.cell_type for target in queries}) > 1:
+        raise ValueError("queries of one run_sinr call must share one cell type")
     n = plan.steps_per_replication - plan.warmup_steps
     q = 1.0 - cfg.R**2 / cfg.R_I**2
-    attn = (query.kappa * cfg.R) ** ch.beta
-    p_n = ch.noise_power
-    open_cell = query.cell_type is CellType.OSG
+    attns = [(target.kappa * cfg.R) ** ch.beta for target in queries]
+    open_cell = queries[0].cell_type is CellType.OSG
 
-    successes, rates = [], []
+    successes = [[] for _ in queries]
+    rates = [[] for _ in queries]
     if mode == "stationary":
         eta = _interference_eta(cfg, p_in, p_out)
         count_p, lo = (eta * q, cfg.R) if open_cell else (eta, 1.0)
     for rng in _substreams(plan.seed, plan.replications):
         if mode == "stationary":
             interference = _stationary_interference(rng, n, cfg.N, count_p, lo, cfg.R_I, ch)
-            sinr = rng.exponential(ch.P_gamma, n) * ch.P_t_h / attn / (interference + p_n)
-            ln_rates = np.log1p(sinr)
+            gain = rng.exponential(ch.P_gamma, n)
         else:
-            sinr = np.empty(n)
-            ln_rates = np.empty(n)
+            interference = np.empty(n)
+            gain = np.empty(n)
             for step, (rho, _) in enumerate(_live_steps(rng, plan, cfg)):
                 if open_cell:
                     d = rho[(rho >= cfg.R) & (rho < cfg.R_I)]
                 else:
                     d = rho[rho < cfg.R_I]
                     _floor_resample(rng, d, cfg.R_I)
-                interference = _interference_sum(rng, d, ch)
-                sinr[step] = rng.exponential(ch.P_gamma) * ch.P_t_h / attn / (interference + p_n)
+                interference[step] = _interference_sum(rng, d, ch)
+                gain[step] = rng.exponential(ch.P_gamma)
+        signal = gain * ch.P_t_h
+        disturbance = interference + ch.noise_power
+        for target, attn, succ, rate in zip(queries, attns, successes, rates):
+            sinr = signal / attn / disturbance
+            if mode == "stationary":
+                ln_rates = np.log1p(sinr)
+            else:
                 # scalar log1p: numpy's vector loop may round the last bit differently
-                ln_rates[step] = math.log1p(sinr[step])
-        successes.append(float(np.mean(sinr >= query.threshold)))
-        rates.append(float(ch.W * ln_rates.mean()))
-    return _pool(successes, n), _pool(rates, n)
+                ln_rates = np.fromiter(map(math.log1p, sinr.tolist()), float, n)
+            succ.append(float(np.mean(sinr >= target.threshold)))
+            rate.append(float(ch.W * ln_rates.mean()))
+    pairs = [(_pool(s, n), _pool(r, n)) for s, r in zip(successes, rates)]
+    return pairs[0] if single else pairs

@@ -265,16 +265,17 @@ def test_criterion_09_sinr_metrics(desk_cfg, channel, probs_at_RI):
     p_in, p_out = probs_at_RI.p_in, probs_at_RI.p_out
     plan = ExperimentPlan("success", replications=8, steps_per_replication=125_001,
                           warmup_steps=1, seed=909)
+    queries = [PerformanceQuery(kappa=kappa, threshold=T60, cell_type=CellType.CSG)
+               for kappa in KAPPA_GRID]
+    estimates = run_sinr(plan, desk_cfg, channel, queries, p_in=p_in, p_out=p_out)
     worst_gap = 0.0
-    for kappa in KAPPA_GRID:
-        q = PerformanceQuery(kappa=kappa, threshold=T60, cell_type=CellType.CSG)
-        est, _ = run_sinr(plan, desk_cfg, channel, q, p_in=p_in, p_out=p_out)
+    for q, (est, _) in zip(queries, estimates):
         analytic = success_probability(q, desk_cfg, channel, p_in, p_out)
         worst_gap = max(worst_gap, abs(analytic - est.value))
     ok_success = worst_gap <= 0.03
 
     # noise-only rate against the direct sampling average
-    q = PerformanceQuery(kappa=0.9, threshold=T60, cell_type=CellType.CSG)
+    q = queries[KAPPA_GRID.index(0.9)]
     rate0 = evaluate(q, replace(desk_cfg, N=0), channel, p_in, p_out,
                      with_success=False).average_rate
     rng = np.random.default_rng(910)
@@ -286,7 +287,7 @@ def test_criterion_09_sinr_metrics(desk_cfg, channel, probs_at_RI):
 
     # full case within 3 SE
     rate = evaluate(q, desk_cfg, channel, p_in, p_out, with_success=False).average_rate
-    _, r_est = run_sinr(plan, desk_cfg, channel, q, p_in=p_in, p_out=p_out)
+    _, r_est = estimates[KAPPA_GRID.index(0.9)]
     z = abs(rate - r_est.value) / r_est.std_error
     ok_rate = z <= 3.0
     ok = ok_success and ok_rate0 and ok_rate

@@ -201,6 +201,24 @@ def test_live_mc_metrics_skip_crossing_quadrature(tmp_path, config_file, monkeyp
         assert status == 0, scenario
 
 
+@pytest.mark.parametrize("mode, sampler, calls", [
+    ("live", "advance", 2 * 10),                        # replications x steps
+    ("stationary", "_stationary_interference", 2),      # replications
+])
+def test_kappa_sweep_samples_once(tmp_path, config_file, monkeypatch, mode, sampler, calls):
+    from hetnet_uplink import montecarlo
+
+    counted = []
+    draw = getattr(montecarlo, sampler)
+    monkeypatch.setattr(montecarlo, sampler,
+                        lambda *args, **kwargs: counted.append(1) or draw(*args, **kwargs))
+    status = main(["--scenario", "success", "--engine", "mc", "--mode", mode,
+                   "--sweep", "kappa=0.5,0.9", "--replications", "2", "--steps", "10",
+                   "--warmup", "0", "--config", str(config_file), "--out", str(tmp_path)])
+    assert status == 0
+    assert len(counted) == calls
+
+
 def test_mc_interference_honours_mode_flag(tmp_path, config_file):
     status = main([
         "--scenario", "interference", "--config", str(config_file), "--engine", "mc",

@@ -180,10 +180,11 @@ def test_sinr_curve_tracks_analytic_over_kappa(desk_cfg, channel, probs_at_RI):
 
     plan = _plan(scenario="success", replications=4, steps_per_replication=25_000,
                  warmup_steps=0, seed=83)
-    for kappa in (0.3, 0.9):
-        q = PerformanceQuery(kappa=kappa, threshold=T60, cell_type=CellType.CSG)
-        est, _ = run_sinr(plan, desk_cfg, channel, q,
-                          p_in=probs_at_RI.p_in, p_out=probs_at_RI.p_out)
+    queries = [PerformanceQuery(kappa=kappa, threshold=T60, cell_type=CellType.CSG)
+               for kappa in (0.3, 0.9)]
+    estimates = run_sinr(plan, desk_cfg, channel, queries,
+                         p_in=probs_at_RI.p_in, p_out=probs_at_RI.p_out)
+    for q, (est, _) in zip(queries, estimates):
         analytic = success_probability(q, desk_cfg, channel,
                                        probs_at_RI.p_in, probs_at_RI.p_out)
         assert abs(est.value - analytic) <= 0.03
@@ -293,6 +294,33 @@ def test_outputs_frozen_bit_for_bit(channel):
             q = PerformanceQuery(kappa=0.9, threshold=FROZEN_THRESHOLD, cell_type=cell)
             success, rate = run_sinr(plan, cfg, channel, q, mode, **kw)
             assert (_hex(success), _hex(rate)) == want[cell], (mode, cell)
+
+
+@pytest.mark.parametrize("mode", ["stationary", "live"])
+@pytest.mark.parametrize("cell", [CellType.CSG, CellType.OSG])
+@pytest.mark.parametrize("cfg", [FROZEN_CFG, NetworkConfig(N=300, delta=30.0)],
+                         ids=["floor-resample", "reference-geometry"])
+def test_sinr_sweep_equals_single_query_calls(channel, mode, cell, cfg):
+    plan = _plan(**FROZEN_PLAN)
+    kw = dict(p_in=0.05, p_out=0.3) if mode == "stationary" else {}
+    queries = [
+        PerformanceQuery(kappa=0.3, threshold=FROZEN_THRESHOLD, cell_type=cell),
+        PerformanceQuery(kappa=0.9, threshold=1e-6, cell_type=cell),
+        PerformanceQuery(kappa=0.6, threshold=1e-3, cell_type=cell),
+    ]
+    swept = run_sinr(plan, cfg, channel, queries, mode, **kw)
+    single = [run_sinr(plan, cfg, channel, q, mode, **kw) for q in queries]
+    assert [(_hex(s), _hex(r)) for s, r in swept] == [(_hex(s), _hex(r)) for s, r in single]
+
+
+def test_sinr_sweep_rejects_mixed_cells_and_empty_sequence(channel):
+    plan = _plan(**FROZEN_PLAN)
+    mixed = [PerformanceQuery(kappa=0.9, threshold=T60, cell_type=cell)
+             for cell in (CellType.CSG, CellType.OSG)]
+    for queries in (mixed, []):
+        for mode in ("stationary", "live"):
+            with pytest.raises(ValueError):
+                run_sinr(plan, FROZEN_CFG, channel, queries, mode, p_in=0.05, p_out=0.3)
 
 
 def test_seed_changes_the_draws(desk_cfg):
