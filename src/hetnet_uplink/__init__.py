@@ -23,9 +23,6 @@ from .crossing import (
     CrossingProbabilities,
     crossing_probabilities,
     exit_distance,
-    incoming_probability,
-    intersection_distances,
-    outgoing_probability,
     return_correction,
 )
 from .interference import (

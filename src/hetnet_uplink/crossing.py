@@ -4,25 +4,26 @@ The cell of interest is a disk of radius ``r_disk`` concentric with the
 macro disk of radius L (the isotropic model reduces every placement to
 the user-to-center distance).  For a user inside the cell, the direct
 outgoing part integrates the flight-length survival over the exit
-distance; for a user outside, entering requires the flight to stop within
-the chord section cut by the cell.  Flights long enough to leave the
-macro disk re-enter antipodally, so each boundary crossing opens one more
-"window" of flight lengths that end inside the cell; those windows form a
-series over the crossing count m.
+distance.  Flights long enough to leave the macro disk re-enter
+antipodally, so each boundary crossing opens one more "window" of flight
+lengths that end back inside the cell; the series of those windows over
+the crossing count m is subtracted from the direct part.
 
-Each probability is a radial integral (over the user's distance from the
-center) of an angular integral.  The radial axis runs on adaptive
-``scipy.quad`` with the piecewise-case boundaries as breakpoints.  Every
-angular integral is one vectorized evaluation on a fixed Gauss-Legendre
-rule, split where the integrand has a kink (theta1, theta2); angles up to
-the tangent angle theta3 are taken in u with theta = theta3*(1 - u**2),
-which absorbs the square-root endpoint of the chord there.  The re-entry
-series sums SERIES_TERMS windows explicitly and closes the rest with the
-Euler-Maclaurin integral tail, so it carries no truncation bias.  The
-error estimate adds the radial quadrature error, the angular rule error
-(full rule against its half on the same panels) and the Euler-Maclaurin
-remainder.  A cold point costs a fraction of a second; results are
-memoized per (alpha, delta, L, radius) within a process.
+The uniform law on the macro disk is stationary under these flights, so
+the flows across the cell boundary balance: with eta = r_disk**2 / L**2,
+eta * p_out = (1 - eta) * p_in, and p_in needs no integral of its own.
+
+p_out is a radial integral (over the user's distance from the center) of
+an angular integral.  The radial axis runs on adaptive ``scipy.quad``
+with the piecewise-case boundaries as breakpoints.  Every angular
+integral is one vectorized evaluation on a fixed Gauss-Legendre rule,
+split at its kinks: theta1, pi/2 and the angles where a re-entry window
+edge meets the basic step.  The re-entry series sums SERIES_TERMS windows
+explicitly and closes the rest with the Euler-Maclaurin integral tail, so
+it carries no truncation bias.  The error estimate adds the radial
+quadrature error, the angular rule error (full rule against its half on
+the same panels) and the Euler-Maclaurin remainder.  Results are memoized
+per (alpha, delta, L, radius) within a process.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
 OUTER_EPSABS = 1e-11
 OUTER_EPSREL = 1e-8
@@ -47,6 +48,9 @@ _WEIGHTS = np.concatenate([_FULL[1], _HALF[1]])
 # Re-entry windows summed one by one before the Euler-Maclaurin tail.
 SERIES_TERMS = 64
 _TERMS = np.arange(SERIES_TERMS)
+
+# Angles on which re-entry window edges are bracketed where they meet delta.
+_KINK_GRID = np.linspace(0.0, math.pi, 129)
 
 
 def _clamp(x: float) -> float:
@@ -67,28 +71,9 @@ def _half_chord(radius: float, r: float, theta):
     return np.sqrt(np.maximum(radius * radius - s * s, 0.0))
 
 
-def _chord(radius: float, d0: float, theta):
-    """Near and far distances (rho1, rho2) at which a ray from distance d0,
-    deviating by theta from the center direction, cuts the circle; the
-    half chord is clamped at 0 past the tangent angle."""
-    half = _half_chord(radius, d0, theta)
-    mid = d0 * np.cos(theta)
-    return mid - half, mid + half
-
-
 def _theta1(r0: float, R: float, delta: float) -> float:
     """Angle below which a user at r0 inside the disk exits within one basic step."""
     return math.acos(_clamp((R * R - r0 * r0 - delta * delta) / (2.0 * delta * r0)))
-
-
-def _theta2(d0: float, R: float, delta: float) -> float:
-    """Angle at which the basic-step circle around a user at d0 meets the disk boundary."""
-    return math.acos(_clamp((delta**2 + d0**2 - R**2) / (2.0 * delta * d0)))
-
-
-def _theta3(d0: float, R: float) -> float:
-    """Tangent angle of the disk seen from distance d0."""
-    return math.asin(_clamp(R / d0))
 
 
 def exit_distance(r0: float, theta, R: float):
@@ -102,23 +87,10 @@ def exit_distance(r0: float, theta, R: float):
     return _half_chord(R, r0, theta) - r0 * np.cos(theta)
 
 
-def intersection_distances(d0: float, theta: float, R: float):
-    """Near/far distances at which a ray from outside cuts the disk.
-
-    The disk center lies ahead at distance d0 > R and the ray deviates by
-    theta from the center direction.  Returns (rho1, rho2), or None when
-    |theta| exceeds the tangent angle arcsin(R/d0).
-    """
-    if d0 <= R:
-        raise ValueError(f"d0={d0} must exceed the disk radius {R}")
-    if abs(math.sin(theta)) * d0 >= R:
-        return None
-    return _chord(R, d0, theta)
-
-
 @dataclass(frozen=True)
 class CrossingProbabilities:
-    """Average incoming/outgoing probabilities for one disk radius."""
+    """Average incoming/outgoing probabilities for one disk radius;
+    ``abs_error_estimate`` bounds the absolute error of both."""
 
     p_in: float
     p_out: float
@@ -162,12 +134,11 @@ def _reentry_series(a, b, period, alpha: float, delta: float):
     return total, 31.0 / 967680.0 * np.abs(derivative(5))
 
 
-def _angular(kernel, edges, tangent: float | None = None):
+def _angular(kernel, edges):
     """Integral over the panels between consecutive ``edges`` of a
     vectorized kernel returning (values, error bounds) at given angles,
     on the fixed Gauss-Legendre rule.
 
-    With ``tangent`` the edges are in u, where theta = tangent*(1 - u**2).
     Returns the integral and its error: the full rule against its half
     rule, plus the integrated error bounds of the kernel.
     """
@@ -175,9 +146,6 @@ def _angular(kernel, edges, tangent: float | None = None):
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     t = edges[:-1, None] + half * (1.0 + _NODES)
     w = half * _WEIGHTS
-    if tangent is not None:
-        w = w * 2.0 * tangent * t
-        t = tangent * (1.0 - t * t)
     values, bounds = kernel(t)
     weighted = w * values
     full = float(weighted[:, :INNER_NODES].sum())
@@ -210,18 +178,43 @@ def _radial(angular, a, b, args, points=()):
     return total, err + (b - a) * worst[0]
 
 
+def _window_kinks(windows, delta: float):
+    """Angles where an edge a + m*period or b + m*period (m >= 1) of the
+    re-entry windows ``windows(theta) = (a, b, period)`` meets delta, the
+    kink of the survival: bracketed on a grid, refined by root finding."""
+
+    def count(theta, edge, m=0.0):
+        w = windows(theta)
+        return (delta - w[edge]) / w[2] - m
+
+    kinks = []
+    for edge in (0, 1):
+        floor = np.floor(count(_KINK_GRID, edge))
+        for i in np.flatnonzero(np.diff(floor)):
+            lo, hi = sorted(floor[i:i + 2])
+            for m in np.arange(max(lo, 0.0) + 1.0, hi + 1.0):
+                kinks.append(optimize.brentq(count, *_KINK_GRID[i:i + 2], args=(edge, m)))
+    return kinks
+
+
 def _return_angular(r0, alpha, delta, L, Rd):
     """Angular integral of the probability that a flight from r0 inside
     the cell re-enters the macro disk and ends inside the cell."""
 
-    def kernel(theta):
+    def windows(theta):
         l2 = _half_chord(Rd, r0, theta)
         rt = l2 - r0 * np.cos(theta)
-        period = 2.0 * _half_chord(L, r0, theta)
-        return _reentry_series(rt - 2.0 * l2, rt, period, alpha, delta)
+        return rt - 2.0 * l2, rt, 2.0 * _half_chord(L, r0, theta)
 
-    # the cell's half chord nears a kink at pi/2 as r0 approaches Rd
-    return _angular(kernel, (0.0, 0.5 * math.pi, math.pi))
+    def kernel(theta):
+        return _reentry_series(*windows(theta), alpha, delta)
+
+    # the cell's half chord nears a kink at pi/2 as r0 approaches Rd; window
+    # edges reach delta only if delta >= min(a + period) >= 2*sqrt(L**2 - Rd**2) - 2*Rd
+    edges = [0.0, 0.5 * math.pi, math.pi]
+    if delta >= 2.0 * (math.sqrt(L * L - Rd * Rd) - Rd):
+        edges = sorted(edges + _window_kinks(windows, delta))
+    return _angular(kernel, edges)
 
 
 def _outgoing_angular(r0, alpha, delta, Rd):
@@ -236,25 +229,6 @@ def _outgoing_angular(r0, alpha, delta, Rd):
 
     value, err = _angular(kernel, (t1, split, math.pi))
     return t1 + value, err
-
-
-def _incoming_angular(d0, alpha, delta, L, Rd):
-    """Angular integral of the probability that a flight from d0 outside
-    the cell ends inside it, directly (window m = 0) or after re-entries."""
-    t3 = _theta3(d0, Rd)
-    # theta2 is where a chord end crosses the basic step: a kink
-    u2 = math.sqrt(max(1.0 - _theta2(d0, Rd, delta) / t3, 0.0))
-
-    def kernel(theta):
-        r1, r2 = _chord(Rd, d0, theta)
-        period = 2.0 * _half_chord(L, d0, theta)
-        reentry, bound = _reentry_series(
-            np.stack([r1, -r2]), np.stack([r2, -r1]), period, alpha, delta
-        )
-        direct = _survival(r1, alpha, delta) - _survival(r2, alpha, delta)
-        return direct + reentry.sum(axis=0), bound.sum(axis=0)
-
-    return _angular(kernel, (0.0, u2, 1.0), tangent=t3)
 
 
 @lru_cache(maxsize=None)
@@ -280,21 +254,6 @@ def _outgoing(alpha: float, delta: float, L: float, Rd: float):
     return r_sure**2 / Rd**2 + norm * total, norm * err
 
 
-@lru_cache(maxsize=None)
-def _incoming(alpha: float, delta: float, L: float, Rd: float):
-    """Average probability that a flight starting outside the cell ends
-    inside it.
-
-    The radial density is the uniform law conditioned on starting outside
-    the cell, 2*d0/(L**2 - Rd**2), so that the stationary balance
-    p_in/(p_in + p_out) = Rd**2/L**2 holds exactly.
-    """
-    points = (delta - Rd, math.hypot(delta, Rd), delta + Rd)
-    total, err = _radial(_incoming_angular, Rd, L, (alpha, delta, L, Rd), points)
-    norm = 2.0 / (math.pi * (L * L - Rd * Rd))
-    return norm * total, norm * err
-
-
 def _radius(cfg, r_disk):
     r = cfg.R if r_disk is None else float(r_disk)
     if not 0.0 < r < cfg.L:
@@ -310,32 +269,19 @@ def return_correction(cfg, r_disk: float | None = None) -> float:
     return value
 
 
-def outgoing_probability(cfg, r_disk: float | None = None) -> float:
-    """Average probability that a user inside the disk ends its next
-    flight outside (membership judged at flight end)."""
-    r = _radius(cfg, r_disk)
-    direct, _ = _outgoing(cfg.alpha, cfg.delta, cfg.L, r)
-    reentry, _ = _return_correction(cfg.alpha, cfg.delta, cfg.L, r)
-    return direct - reentry
-
-
-def incoming_probability(cfg, r_disk: float | None = None) -> float:
-    """Average probability that a user outside the disk ends its next
-    flight inside."""
-    r = _radius(cfg, r_disk)
-    value, _ = _incoming(cfg.alpha, cfg.delta, cfg.L, r)
-    return value
-
-
 def crossing_probabilities(cfg, r_disk: float | None = None) -> CrossingProbabilities:
-    """Both crossing probabilities with an absolute error bound
-    (quadrature, angular rule and series remainder)."""
+    """Both crossing probabilities with an absolute error bound.
+
+    p_in = p_out * r**2 / (L**2 - r**2) by the balance of flows under the
+    stationary uniform law.  The bound is the quadrature, angular rule and
+    series error of p_out times max(1, r**2 / (L**2 - r**2)), so it bounds
+    the error of p_in as well."""
     r = _radius(cfg, r_disk)
-    p_in, err_in = _incoming(cfg.alpha, cfg.delta, cfg.L, r)
     direct, err_dir = _outgoing(cfg.alpha, cfg.delta, cfg.L, r)
     reentry, err_re = _return_correction(cfg.alpha, cfg.delta, cfg.L, r)
     p_out = direct - reentry
-    err = err_in + err_dir + err_re
+    ratio = r * r / (cfg.L * cfg.L - r * r)
+    p_in = p_out * ratio
     if not -1e-9 <= p_in <= 1.0 + 1e-9 or not -1e-9 <= p_out <= 1.0 + 1e-9:
         raise RuntimeError(
             f"crossing probabilities out of range: p_in={p_in}, p_out={p_out}"
@@ -343,5 +289,5 @@ def crossing_probabilities(cfg, r_disk: float | None = None) -> CrossingProbabil
     return CrossingProbabilities(
         p_in=min(max(p_in, 0.0), 1.0),
         p_out=min(max(p_out, 0.0), 1.0),
-        abs_error_estimate=err,
+        abs_error_estimate=(err_dir + err_re) * max(1.0, ratio),
     )

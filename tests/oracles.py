@@ -158,23 +158,40 @@ def incoming_angular(d0, alpha, delta, L, R):
     return _quad(kernel, 0.0, t3, (t2,))
 
 
+def _exit_chord(r0, theta, R):
+    """Exit distance and half chord of the disk for a user at r0 heading at
+    theta from the outward radial direction."""
+    half = math.sqrt(R * R - (r0 * math.sin(theta)) ** 2)
+    return half - r0 * math.cos(theta), half
+
+
+def return_angular(r0, alpha, delta, L, R):
+    """Integral over the heading theta in [0, pi] of the probability that a
+    flight from r0 inside the disk leaves it, re-enters the macro disk
+    antipodally and ends back inside the disk, by adaptive quadrature in
+    theta."""
+
+    def kernel(theta):
+        exit_, half = _exit_chord(r0, theta, R)
+        period = 2.0 * math.sqrt(L * L - (r0 * math.sin(theta)) ** 2)
+        return zeta_series(exit_ - 2.0 * half, exit_, period, alpha, delta)
+
+    return _quad(kernel, 0.0, math.pi, (0.5 * math.pi,))
+
+
 def crossing_oracle(alpha, delta, L, R):
     """(p_in, p_out) for the disk of radius R by nested adaptive quadrature
     over (distance, angle) with scalar integrands and ``zeta_series``."""
 
     def outgoing(r0):
-        # exit and antipodal re-entry for a user at r0 heading at theta
-        # from the outward radial direction
+        # exit minus antipodal re-entry for a user at r0
         def kernel(theta):
-            p = r0 * math.sin(theta)
-            half = math.sqrt(R * R - p * p)
-            exit_ = half - r0 * math.cos(theta)
-            period = 2.0 * math.sqrt(L * L - p * p)
-            return _survival(exit_, alpha, delta) - zeta_series(exit_ - 2.0 * half, exit_, period, alpha, delta)
+            return _survival(_exit_chord(r0, theta, R)[0], alpha, delta)
 
         cos_t1 = (R * R - r0 * r0 - delta * delta) / (2.0 * delta * r0)
         t1 = math.acos(max(-1.0, min(1.0, cos_t1)))
-        return r0 * _quad(kernel, 0.0, math.pi, (t1, 0.5 * math.pi))
+        exits = _quad(kernel, 0.0, math.pi, (t1, 0.5 * math.pi))
+        return r0 * (exits - return_angular(r0, alpha, delta, L, R))
 
     def incoming(d0):
         return d0 * incoming_angular(d0, alpha, delta, L, R)

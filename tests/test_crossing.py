@@ -7,22 +7,12 @@ from hetnet_uplink import (
     NetworkConfig,
     crossing_probabilities,
     exit_distance,
-    incoming_probability,
-    intersection_distances,
-    outgoing_probability,
     return_correction,
 )
-from hetnet_uplink.crossing import (
-    _incoming,
-    _incoming_angular,
-    _outgoing,
-    _reentry_series,
-    _theta2,
-    _theta3,
-)
+from hetnet_uplink.crossing import _outgoing, _reentry_series, _return_angular, _return_correction
 from hetnet_uplink.mobility import sample_direction, sample_flight_length
 
-from oracles import crossing_oracle, hurwitz_series, incoming_angular, trace_flight
+from oracles import crossing_oracle, hurwitz_series, return_angular, trace_flight
 
 
 # ---------------------------------------------------------------- geometry
@@ -35,16 +25,6 @@ def test_exit_distance_reference_points():
         exit_distance(61.0, 0.0, 60.0)
 
 
-def test_intersection_distances_reference_points():
-    assert intersection_distances(120.0, 0.0, 60.0) == pytest.approx((60.0, 180.0))
-    tangent = intersection_distances(120.0, math.asin(0.5) - 1e-12, 60.0)
-    assert tangent[0] == pytest.approx(math.sqrt(120.0**2 - 60.0**2), rel=1e-4)
-    assert tangent[0] == pytest.approx(tangent[1], rel=1e-4)
-    assert intersection_distances(120.0, math.pi / 4, 60.0) is None
-    with pytest.raises(ValueError):
-        intersection_distances(50.0, 0.0, 60.0)
-
-
 def test_circle_equation_residuals_randomized():
     rng = np.random.default_rng(21)
     R = 60.0
@@ -54,23 +34,6 @@ def test_circle_equation_residuals_randomized():
         rt = exit_distance(r0, th, R)
         residual = (r0 + rt * math.cos(th)) ** 2 + (rt * math.sin(th)) ** 2 - R * R
         assert abs(residual) < 1e-9 * R * R
-
-        d0 = R + rng.random() * (500.0 - R)
-        t3 = math.asin(R / d0)
-        th = rng.random() * t3 * 0.999
-        pair = intersection_distances(d0, th, R)
-        assert pair is not None and pair[0] <= pair[1]
-        for rho in pair:
-            residual = (d0 - rho * math.cos(th)) ** 2 + (rho * math.sin(th)) ** 2 - R * R
-            assert abs(residual) < 1e-9 * R * R
-
-
-def test_critical_angles_ordering():
-    R, delta = 60.0, 30.0
-    d_star = math.hypot(delta, R)
-    for d0 in np.linspace(R + 1e-9, 500.0, 200):
-        assert _theta2(d0, R, delta) <= _theta3(d0, R) + 1e-12
-    assert _theta2(d_star, R, delta) == pytest.approx(_theta3(d_star, R), abs=1e-12)
 
 
 # ---------------------------------------------------------------- series
@@ -130,7 +93,7 @@ def big_step_cfg():
 
 def test_outgoing_is_one_minus_reentry_when_step_exceeds_diameter(big_step_cfg):
     cfg = big_step_cfg
-    p_out = outgoing_probability(cfg)
+    p_out = crossing_probabilities(cfg).p_out
     p_re = return_correction(cfg)
     assert p_out == 1.0 - p_re
     assert p_re > 0.0
@@ -139,26 +102,26 @@ def test_outgoing_is_one_minus_reentry_when_step_exceeds_diameter(big_step_cfg):
         assert _outgoing(cfg.alpha, delta, cfg.L, cfg.R) == (1.0, 0.0)
 
 
-def _mc_crossing(cfg, seed):
+def _mc_crossing(cfg, seed, r_disk=None):
     from hetnet_uplink import ExperimentPlan, run_crossing
 
     plan = ExperimentPlan(
         "crossing", replications=8, steps_per_replication=125_000,
         warmup_steps=0, seed=seed,
     )
-    return run_crossing(plan, cfg)
+    return run_crossing(plan, cfg, r_disk)
 
 
 def test_outgoing_matches_mc_at_small_step():
     cfg = NetworkConfig(N=2000, delta=5.0)
-    p_out = outgoing_probability(cfg)
+    p_out = crossing_probabilities(cfg).p_out
     est = _mc_crossing(cfg, 1234).p_out
     assert abs(p_out - est.value) <= 3.0 * est.std_error
 
 
 def test_incoming_small_step_small_positive_and_matches_mc():
     cfg = NetworkConfig(N=2000, delta=1.0)
-    p_in = incoming_probability(cfg)
+    p_in = crossing_probabilities(cfg).p_in
     assert 0.0 < p_in < 0.01
     est = _mc_crossing(cfg, 99).p_in
     assert abs(p_in - est.value) <= 3.0 * est.std_error or abs(p_in - est.value) <= 0.05 * p_in
@@ -187,8 +150,9 @@ def test_reentry_correction_matches_mc_event_frequency(big_step_cfg):
 
 def test_sweep_shapes_rise_then_fall():
     grid = [1.0, 5.0, 20.0, 50.0, 150.0, 300.0]
-    p_in = [incoming_probability(NetworkConfig(delta=d)) for d in grid]
-    p_out = [outgoing_probability(NetworkConfig(delta=d)) for d in grid]
+    cps = [crossing_probabilities(NetworkConfig(delta=d)) for d in grid]
+    p_in = [cp.p_in for cp in cps]
+    p_out = [cp.p_out for cp in cps]
     # outgoing: grows while steps are short, then declines slightly once
     # flights overshoot the macro disk and return
     assert p_out[0] < p_out[1] < p_out[2]
@@ -218,8 +182,8 @@ def test_giant_steps_are_pure_reentry():
     # count sits below the support floor, so the mass lives deep in the
     # series; verified against the Monte Carlo engine
     cfg = NetworkConfig(N=2000, delta=1200.0)
-    p_out = outgoing_probability(cfg)
-    p_in = incoming_probability(cfg)
+    cp = crossing_probabilities(cfg)
+    p_in, p_out = cp.p_in, cp.p_out
     assert 0.0 < p_in < 1.0 and 0.0 < p_out <= 1.0
     run = _mc_crossing(cfg, 404)
     assert abs(p_out - run.p_out.value) <= max(3.0 * run.p_out.std_error, 2e-3)
@@ -240,7 +204,7 @@ def test_flux_identity_holds_to_quadrature_accuracy(delta):
     for r in (cfg.R, cfg.R_I):
         cp = crossing_probabilities(cfg, r)
         target = r * r / (cfg.L * cfg.L)
-        assert abs(cp.p_in / (cp.p_in + cp.p_out) - target) <= 1e-6 * target
+        assert abs(cp.p_in / (cp.p_in + cp.p_out) - target) <= 1e-12 * target
 
 
 @pytest.mark.parametrize("delta, radius", [(30.0, 60.0), (150.0, 120.0)])
@@ -262,18 +226,29 @@ def test_probabilities_continuous_across_alpha_one():
         assert cp.p_out == pytest.approx(at_one.p_out, rel=1e-8)
 
 
-@pytest.mark.parametrize("delta, radius", [(30.0, 60.0), (150.0, 120.0)])
-@pytest.mark.parametrize("gap", [1e-6, 1e-3])
-def test_tangent_heavy_angular_integral_matches_oracle(delta, radius, gap):
-    # a user just outside the cell sees it under a tangent angle near pi/2,
-    # where the chord ends in a square root over most of the angle range
-    d0 = radius + gap
-    value, _ = _incoming_angular(d0, 0.6, delta, 500.0, radius)
-    assert value == pytest.approx(incoming_angular(d0, 0.6, delta, 500.0, radius), rel=1e-12)
+@pytest.mark.parametrize("delta", [150.0, 1200.0])
+@pytest.mark.parametrize("r0", [100.0, 119.0])
+def test_return_angular_integral_matches_oracle(r0, delta):
+    # at delta = 1200 the edges of the first re-entry window cross the
+    # basic step inside (0, pi): kinks the angular panels must split at
+    value, _ = _return_angular(r0, 0.6, delta, 500.0, 120.0)
+    assert value == pytest.approx(return_angular(r0, 0.6, delta, 500.0, 120.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("radius", [400.0, 480.0])
+def test_wide_disk_probabilities_match_flights(radius):
+    # past L/sqrt(2) the balance factor r**2/(L**2 - r**2) exceeds 1:
+    # p_in > p_out, and the error bound scales up with the factor
+    cfg = NetworkConfig(N=2000, delta=30.0)
+    cp = crossing_probabilities(cfg, radius)
+    assert 0.0 < cp.p_out < cp.p_in < 1.0
+    run = _mc_crossing(cfg, 480, radius)
+    assert abs(cp.p_in - run.p_in.value) <= 3.0 * run.p_in.std_error
+    assert abs(cp.p_out - run.p_out.value) <= 3.0 * run.p_out.std_error
 
 
 def test_memoization_reuses_results(desk_cfg):
     crossing_probabilities(desk_cfg)
-    hits_before = _incoming.cache_info().hits
+    hits_before = _return_correction.cache_info().hits
     crossing_probabilities(desk_cfg)
-    assert _incoming.cache_info().hits > hits_before
+    assert _return_correction.cache_info().hits > hits_before
