@@ -29,6 +29,8 @@ import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import (CellType, ChannelConfig, ConfigError, NetworkConfig, db_to_linear,
                      dbm_to_watts, load_config, validate)
 from .crossing import crossing_probabilities
@@ -164,6 +166,14 @@ def _crossing_rows(scenario, manifest, cfg, ch, analytic, plan):
     return rows, checks
 
 
+def _trace_rows(step, x, y) -> str:
+    """The ``--trace`` lines of one step: step, user, rho and theta
+    (radians in [0, 2*pi)) of every user at (x, y), six decimals."""
+    table = np.column_stack([np.full(x.size, step), np.arange(x.size), np.hypot(x, y),
+                             np.mod(np.arctan2(y, x), 2.0 * np.pi)])
+    return ("%d,%d,%.6f,%.6f\n" * x.size) % tuple(table.ravel().tolist())
+
+
 def _occupancy_rows(scenario, manifest, cfg, ch, analytic, plan):
     rows, checks = [], []
     with open(manifest.trace, "w") if manifest.trace else contextlib.nullcontext() as trace:
@@ -171,9 +181,8 @@ def _occupancy_rows(scenario, manifest, cfg, ch, analytic, plan):
         if trace is not None:
             trace.write("step,user,rho,theta\n")
 
-            def hook(step, rho, theta):
-                for user, (r, t) in enumerate(zip(rho, theta)):
-                    trace.write(f"{step},{user},{r:.6f},{t:.6f}\n")
+            def hook(step, x, y):
+                trace.write(_trace_rows(step, x, y))
 
         for delta in manifest.sweep[1]:
             c = replace(cfg, delta=float(delta))

@@ -5,14 +5,14 @@ and uniform direction.  A user reaching the disk edge re-enters at the
 diametrically opposite boundary point without changing heading, so the
 disk population is conserved and the uniform law is preserved.
 
-The end point of an arbitrarily long flight has a closed form.  Along the
-movement line, let V be the foot of the perpendicular from the disk
-center and l1 the half chord length; the start sits at along-track
-coordinate t0 = rho*cos(direction - theta), the first exit at +l1.  Every
-re-entry chord has the same half length l1 and its perpendicular foot
-alternates between -V and +V, with the user entering each chord at
-along-track -l1.  After m full chords and a residual l5, the end point is
-(-1)**(m+1) * V + (l5 - l1) * u, with u the unit heading.
+Positions are Cartesian (x, y) about the disk center, and an arbitrarily
+long flight has a closed-form end point.  With u the unit heading, the
+start sits at along-track coordinate t0 = x.u on a line at signed offset
+w = x cross u; V = w * (u_y, -u_x) is the foot of the perpendicular from
+the center and l1 = sqrt(L**2 - w**2) the half chord length.  Every
+re-entry chord has half length l1 and its foot alternates between -V and
++V, the user entering each at along-track -l1.  After m full chords and a
+residual l5, the end point is (-1)**(m+1) * V + (l5 - l1) * u.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import numpy as np
 from scipy import stats
 
 TWO_PI = 2.0 * math.pi
+RIM = 1e-12     # relative slack of x**2 + y**2 <= L**2 for points rounded onto the edge
 
 
 def sample_flight_length(u, alpha: float, delta: float):
@@ -47,62 +48,50 @@ def sample_direction(u):
     return float(out) if out.ndim == 0 else out
 
 
-def advance(rho, theta, length, direction, L: float):
+def advance(x, y, length, direction, L: float):
     """Vectorized flight advance under the antipodal re-entry rule.
 
-    All array arguments broadcast; returns (rho', theta') with
-    rho' <= L and theta' in [0, 2*pi).  Tangent degenerate chords
+    All array arguments broadcast; returns the end point (x', y'), with
+    x'**2 + y'**2 <= L**2 up to rounding.  Tangent degenerate chords
     (l1 == 0, a probability-zero event) leave the user in place.
     """
-    rho, theta, length, direction = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (rho, theta, length, direction))
+    x, y, length, direction = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (x, y, length, direction))
     )
-    if np.any(rho > L):
+    shape = x.shape
+    x, y, length, direction = (a.ravel() for a in (x, y, length, direction))
+    if (x * x + y * y > L * L * (1.0 + RIM)).any():
         raise ValueError("start position outside the disk")
 
-    phi = direction - theta
     ux, uy = np.cos(direction), np.sin(direction)
-    x0, y0 = rho * np.cos(theta), rho * np.sin(theta)
+    ex = x + length * ux                       # plain straight move
+    ey = y + length * uy
 
-    w = rho * np.sin(phi)                      # signed offset of the line
-    l1 = np.sqrt(np.maximum(L * L - w * w, 0.0))
-    t0 = rho * np.cos(phi)                     # along-track start coordinate
-    l3 = l1 - t0                               # distance to first exit
-    vx, vy = x0 - t0 * ux, y0 - t0 * uy        # perpendicular foot
+    # re-entry: m full chords, then l5 from the (m+1)-th entry point.  The
+    # closed form also holds (m = -1) for a straight move that rounding
+    # put in this subset.
+    out = np.flatnonzero(ex * ex + ey * ey >= L * L)
+    if out.size:
+        x, y, length, ux, uy = x[out], y[out], length[out], ux[out], uy[out]
+        t0 = x * ux + y * uy                   # along-track start coordinate
+        w = x * uy - y * ux                    # signed offset of the line
+        l1 = np.sqrt(np.maximum(L * L - w * w, 0.0))
+        l4 = length - (l1 - t0)                # past the first exit
+        period = 2.0 * l1
+        safe = np.where(period > 0.0, period, 1.0)
+        m = np.floor(l4 / safe)
+        # a residual that rounding put just outside [0, period] is taken at
+        # its end: a boundary point of the same instant of the flight
+        l5 = np.minimum(np.maximum(l4 - m * safe, 0.0), safe)
 
-    crosses = length >= l3
+        flip = np.where(np.mod(m, 2.0) == 0.0, -w, w)    # (-1)**(m+1) * w
+        degenerate = period <= 0.0
+        ex[out] = np.where(degenerate, x, flip * uy + (l5 - l1) * ux)
+        ey[out] = np.where(degenerate, y, (l5 - l1) * uy - flip * ux)
 
-    # no boundary crossing: plain straight move
-    ex = x0 + length * ux
-    ey = y0 + length * uy
-
-    # crossing: m full chords, then l5 from the (m+1)-th entry point
-    l4 = length - l3
-    period = 2.0 * l1
-    safe = np.where(period > 0.0, period, 1.0)
-    m = np.floor(l4 / safe)
-    l5 = l4 - m * safe
-    # keep (m, l5) consistent: 0 <= l5 < period
-    low = l5 < 0.0
-    m = np.where(low, m - 1.0, m)
-    l5 = np.where(low, l5 + safe, l5)
-    high = l5 >= safe
-    m = np.where(high, m + 1.0, m)
-    l5 = np.where(high, l5 - safe, l5)
-
-    flip = np.where(np.mod(m, 2.0) == 0.0, -1.0, 1.0)   # (-1)**(m+1)
-    cx = flip * vx + (l5 - l1) * ux
-    cy = flip * vy + (l5 - l1) * uy
-
-    degenerate = crosses & (period <= 0.0)
-    ex = np.where(crosses, np.where(degenerate, x0, cx), ex)
-    ey = np.where(crosses, np.where(degenerate, y0, cy), ey)
-
-    rho_out = np.minimum(np.hypot(ex, ey), L)
-    theta_out = np.mod(np.arctan2(ey, ex), TWO_PI)
-    if rho_out.ndim == 0:
-        return float(rho_out), float(theta_out)
-    return rho_out, theta_out
+    if not shape:
+        return float(ex[0]), float(ey[0])
+    return ex.reshape(shape), ey.reshape(shape)
 
 
 def equal_area_bins(bins: int, L: float):
@@ -141,24 +130,24 @@ def uniformity_test(positions, bins: int, L: float) -> UniformityResult:
     """Pearson chi-square of positions against the uniform disk law.
 
     The disk is split into ``bins`` equal-area regions (annuli subdivided
-    into sectors).  ``positions`` is an (n, 2) array of (rho, theta) rows.
+    into sectors).  ``positions`` is an (n, 2) array of (x, y) rows.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] == 0:
         raise ValueError("positions must be a non-empty (n, 2) array")
-    rho, theta = positions[:, 0], positions[:, 1]
-    if np.any(rho > L):
+    x, y = positions[:, 0], positions[:, 1]
+    if (x * x + y * y > L * L * (1.0 + RIM)).any():
         raise ValueError("position outside the disk")
     radii, sectors, cumulative = equal_area_bins(bins, L)
 
-    ring = np.searchsorted(radii, rho, side="left")
-    ring = np.minimum(ring, len(sectors) - 1)   # rho == L joins the last ring
+    ring = np.searchsorted(radii**2, x * x + y * y, side="left")
+    ring = np.minimum(ring, len(sectors) - 1)   # the boundary joins the last ring
     width = TWO_PI / sectors[ring]
-    sector = np.minimum((theta % TWO_PI) // width, sectors[ring] - 1)
+    sector = np.minimum(np.mod(np.arctan2(y, x), TWO_PI) // width, sectors[ring] - 1)
     region = cumulative[ring] + sector.astype(int)
 
     observed = np.bincount(region, minlength=bins)
-    expected = rho.size / bins
+    expected = x.size / bins
     statistic = float(((observed - expected) ** 2 / expected).sum())
     dof = bins - 1
     return UniformityResult(statistic, float(stats.chi2.sf(statistic, dof)), dof)

@@ -96,48 +96,49 @@ def _uniform_annulus(rng, n, r_lo, r_hi):
 
 
 def _uniform_positions(rng, n, r_lo, r_hi):
-    """(rho, theta) of n points uniform on the annulus r_lo <= r <= r_hi."""
+    """(x, y) of n points uniform on the annulus r_lo <= r <= r_hi."""
     rho = _uniform_annulus(rng, n, r_lo, r_hi)
-    return rho, rng.random(n) * 2.0 * np.pi
+    theta = rng.random(n) * 2.0 * np.pi
+    return rho * np.cos(theta), rho * np.sin(theta)
 
 
-def _fly(rng, rho, theta, cfg):
-    n = rho.size
+def _fly(rng, x, y, cfg):
+    n = x.size
     lengths = sample_flight_length(1.0 - rng.random(n), cfg.alpha, cfg.delta)
     directions = sample_direction(rng.random(n))
-    return advance(rho, theta, lengths, directions, cfg.L)
+    return advance(x, y, lengths, directions, cfg.L)
 
 
 def _live_steps(rng, plan: ExperimentPlan, cfg: NetworkConfig):
     """Positions of a mobile population after each post-warmup step.
 
     The population starts uniform on the macro disk and takes
-    ``plan.warmup_steps`` unobserved flights; then one (rho, theta) pair is
+    ``plan.warmup_steps`` unobserved flights; then (x, y, x**2 + y**2) is
     yielded per step.  Consumers may draw from ``rng`` between steps: the
-    next flight is drawn only when the next pair is requested.
+    next flight is drawn only when the next step is requested.
     """
-    rho, theta = _uniform_positions(rng, cfg.N, 0.0, cfg.L)
+    x, y = _uniform_positions(rng, cfg.N, 0.0, cfg.L)
     for _ in range(plan.warmup_steps):
-        rho, theta = _fly(rng, rho, theta, cfg)
+        x, y = _fly(rng, x, y, cfg)
     for _ in range(plan.steps_per_replication - plan.warmup_steps):
-        rho, theta = _fly(rng, rho, theta, cfg)
-        yield rho, theta
+        x, y = _fly(rng, x, y, cfg)
+        yield x, y, x * x + y * y
 
 
-def _floor_resample(rng, d, R_I):
-    """Redraw, in place, the distances of ``d`` below the 1 m support floor
+def _floor_resample(rng, d2, R_I):
+    """Redraw, in place, the squared distances in ``d2`` below the 1 m floor
     from the analytic support [1, R_I]; returns how many were redrawn."""
-    near = d < 1.0
+    near = d2 < 1.0
     k = int(near.sum())
     if k:
-        d[near] = _uniform_annulus(rng, k, 1.0, R_I)
+        d2[near] = _uniform_annulus(rng, k, 1.0, R_I) ** 2
     return k
 
 
-def _interference_sum(rng, d, ch):
-    """Total power of interferers at distances ``d``, one fading draw each."""
-    g = rng.exponential(ch.P_gamma, d.size)
-    return float((g * ch.P_t_m / d**ch.beta).sum())
+def _interference_sum(rng, d2, ch):
+    """Total power of interferers at squared distances ``d2``, one fading draw each."""
+    g = rng.exponential(ch.P_gamma, d2.size)
+    return float((g * ch.P_t_m / d2 ** (ch.beta / 2.0)).sum())
 
 
 def run_crossing(plan: ExperimentPlan, cfg: NetworkConfig, r_disk: float | None = None) -> CrossingRun:
@@ -151,10 +152,10 @@ def run_crossing(plan: ExperimentPlan, cfg: NetworkConfig, r_disk: float | None 
     n = plan.steps_per_replication
     outs, ins = [], []
     for rng in _substreams(plan.seed, plan.replications):
-        end_rho, _ = _fly(rng, *_uniform_positions(rng, n, 0.0, r), cfg)
-        outs.append(float(np.mean(end_rho >= r)))
-        end_rho, _ = _fly(rng, *_uniform_positions(rng, n, r, cfg.L), cfg)
-        ins.append(float(np.mean(end_rho < r)))
+        x, y = _fly(rng, *_uniform_positions(rng, n, 0.0, r), cfg)
+        outs.append(float(np.mean(x * x + y * y >= r * r)))
+        x, y = _fly(rng, *_uniform_positions(rng, n, r, cfg.L), cfg)
+        ins.append(float(np.mean(x * x + y * y < r * r)))
     return CrossingRun(p_in=_pool(ins, n), p_out=_pool(outs, n))
 
 
@@ -176,10 +177,10 @@ def run_occupancy(
     histogram = np.zeros(cfg.N + 1, dtype=np.int64)
     for rng in _substreams(plan.seed, plan.replications):
         counts = np.empty(post, dtype=np.int64)
-        for step, (rho, theta) in enumerate(_live_steps(rng, plan, cfg)):
-            counts[step] = int((rho < r).sum())
+        for step, (x, y, r2) in enumerate(_live_steps(rng, plan, cfg)):
+            counts[step] = int((r2 < r * r).sum())
             if trace_hook is not None:
-                trace_hook(step, rho, theta)
+                trace_hook(step, x, y)
         means.append(counts.mean())
         variances.append(counts.var(ddof=1))
         histogram += np.bincount(counts[::thin], minlength=cfg.N + 1)
@@ -241,11 +242,11 @@ def run_interference(
         else:
             ic = np.empty(n)
             io = np.empty(n)
-            for step, (rho, _) in enumerate(_live_steps(rng, plan, cfg)):
-                d_c = rho[rho < cfg.R_I]
-                resampled += _floor_resample(rng, d_c, cfg.R_I)
-                ic[step] = _interference_sum(rng, d_c, ch)
-                io[step] = _interference_sum(rng, rho[(rho >= cfg.R) & (rho < cfg.R_I)], ch)
+            for step, (_, _, r2) in enumerate(_live_steps(rng, plan, cfg)):
+                d2_c = r2[r2 < cfg.R_I**2]
+                resampled += _floor_resample(rng, d2_c, cfg.R_I)
+                ic[step] = _interference_sum(rng, d2_c, ch)
+                io[step] = _interference_sum(rng, r2[(r2 >= cfg.R**2) & (r2 < cfg.R_I**2)], ch)
         c_means.append(ic.mean())
         c_vars.append(ic.var(ddof=1))
         o_means.append(io.mean())
@@ -302,13 +303,13 @@ def run_sinr(
         else:
             interference = np.empty(n)
             gain = np.empty(n)
-            for step, (rho, _) in enumerate(_live_steps(rng, plan, cfg)):
+            for step, (_, _, r2) in enumerate(_live_steps(rng, plan, cfg)):
                 if open_cell:
-                    d = rho[(rho >= cfg.R) & (rho < cfg.R_I)]
+                    d2 = r2[(r2 >= cfg.R**2) & (r2 < cfg.R_I**2)]
                 else:
-                    d = rho[rho < cfg.R_I]
-                    _floor_resample(rng, d, cfg.R_I)
-                interference[step] = _interference_sum(rng, d, ch)
+                    d2 = r2[r2 < cfg.R_I**2]
+                    _floor_resample(rng, d2, cfg.R_I)
+                interference[step] = _interference_sum(rng, d2, ch)
                 gain[step] = rng.exponential(ch.P_gamma)
         signal = gain * ch.P_t_h
         disturbance = interference + ch.noise_power

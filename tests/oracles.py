@@ -14,11 +14,9 @@ import numpy as np
 from scipy import integrate, special
 
 
-def trace_flight(rho, theta, length, direction, L):
-    """Walk one flight; teleport to the antipodal boundary point at each
-    exit.  Returns (rho', theta', macro_crossings)."""
-    x = rho * math.cos(theta)
-    y = rho * math.sin(theta)
+def trace_flight(x, y, length, direction, L):
+    """Walk one flight from (x, y); teleport to the antipodal boundary
+    point at each exit.  Returns (x', y', macro_crossings)."""
     ux = math.cos(direction)
     uy = math.sin(direction)
     remaining = float(length)
@@ -42,7 +40,7 @@ def trace_flight(rho, theta, length, direction, L):
         crossings += 1
     else:
         raise RuntimeError("flight trace did not terminate")
-    return math.hypot(x, y), math.atan2(y, x) % (2.0 * math.pi), crossings
+    return x, y, crossings
 
 
 def power_iteration(P, tol=1e-14, max_iter=200_000):

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hetnet_uplink.cli import FIGURE_ALIASES, VALID_SCENARIOS, main
@@ -175,6 +176,21 @@ def test_occupancy_trace_flag_writes_positions(tmp_path, config_file):
     lines = trace.read_text().splitlines()
     assert lines[0] == "step,user,rho,theta"
     assert len(lines) == 1 + 20 * 500         # (steps - warmup) x users
+
+
+def test_trace_rows_match_the_per_user_writer():
+    from hetnet_uplink.cli import _trace_rows
+
+    rng = np.random.default_rng(3)
+    rho = 500.0 * np.sqrt(rng.random(1000))
+    theta = rng.random(1000) * 2 * np.pi
+    x = np.concatenate([[0.0, -0.0, 500.0, -500.0, 1e-9, 3.0], rho * np.cos(theta)])
+    y = np.concatenate([[0.0, 0.0, -1e-12, -0.0, -1e-9, -4.0], rho * np.sin(theta)])
+    rho, theta = np.hypot(x, y), np.mod(np.arctan2(y, x), 2 * np.pi)
+    for step in (0, 7, 123_456):
+        per_user = "".join(f"{step},{user},{r:.6f},{t:.6f}\n"
+                           for user, (r, t) in enumerate(zip(rho, theta)))
+        assert _trace_rows(step, x, y) == per_user
 
 
 def test_console_entry_point_runs():

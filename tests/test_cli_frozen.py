@@ -16,7 +16,13 @@ tables of eight cases (``density-both``, ``figure12-records``, ``figure7``,
 re-recorded when p_in began to follow from p_out by detailed balance:
 only analytic columns and the gaps built from them moved, in their last
 printed digits (every analytic value by at most 1e-9 relative), toward
-the exact stationary weight R**2/L**2.
+the exact stationary weight R**2/L**2.  The live Monte Carlo outputs of
+four cases (the ``interference-live-mc``, ``rate-live-records`` and
+``density-live-bits`` tables and the ``occupancy-trace`` trace hash) were
+re-recorded when the flight stepper moved to Cartesian coordinates: its
+re-entry map is expanding, so the stepper's new rounding moves a few
+users by up to metres within these 40 steps.  Crossing, analytic,
+stationary and occupancy-count outputs stayed byte-identical.
 """
 import hashlib
 import json

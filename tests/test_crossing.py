@@ -141,8 +141,9 @@ def test_reentry_correction_matches_mc_event_frequency(big_step_cfg):
     dirs = sample_direction(rng.random(n))
     hits = 0
     for i in range(n):
-        r_end, _, crossings = trace_flight(rho[i], theta[i], lengths[i], dirs[i], cfg.L)
-        hits += crossings >= 1 and r_end < cfg.R
+        x0, y0 = rho[i] * math.cos(theta[i]), rho[i] * math.sin(theta[i])
+        x_end, y_end, crossings = trace_flight(x0, y0, lengths[i], dirs[i], cfg.L)
+        hits += crossings >= 1 and math.hypot(x_end, y_end) < cfg.R
     mc = hits / n
     se = math.sqrt(mc * (1 - mc) / n)
     assert abs(p_re - mc) <= 3.0 * se

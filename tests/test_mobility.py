@@ -17,6 +17,7 @@ from hetnet_uplink.mobility import equal_area_bins
 from oracles import trace_flight
 
 L = 500.0
+EPS = np.finfo(float).eps
 
 
 def _random_inputs(rng, n, max_len=10 * L):
@@ -24,7 +25,12 @@ def _random_inputs(rng, n, max_len=10 * L):
     theta = rng.random(n) * 2 * np.pi
     length = rng.random(n) * max_len + 1e-6
     direction = rng.random(n) * 2 * np.pi
-    return rho, theta, length, direction
+    return rho * np.cos(theta), rho * np.sin(theta), length, direction
+
+
+def _inside(x, y, L):
+    """x**2 + y**2 <= L**2 up to the rounding of an end point."""
+    return np.all(np.square(x) + np.square(y) <= L * L * (1.0 + 4.0 * EPS))
 
 
 # ---------------------------------------------------------------- samplers
@@ -68,102 +74,124 @@ def test_direction_uniform_over_sectors():
 # ---------------------------------------------------------------- geometry
 
 def test_apply_flight_straight_line():
-    rho, theta = advance(0.0, 0.0, L / 2, 0.0, L)
-    assert rho == pytest.approx(L / 2)
-    assert theta == pytest.approx(0.0)
+    assert advance(0.0, 0.0, L / 2, 0.0, L) == pytest.approx((L / 2, 0.0))
 
 
 def test_apply_flight_diameter_reentry():
     # from the center the first exit is L away; the remaining L/2 runs from
     # the antipodal entry point
-    rho, theta = advance(0.0, 0.0, 1.5 * L, 0.0, L)
-    assert rho == pytest.approx(L / 2, abs=1e-9)
-    assert theta == pytest.approx(math.pi, abs=1e-12)
+    x, y = advance(0.0, 0.0, 1.5 * L, 0.0, L)
+    assert x == pytest.approx(-L / 2, abs=1e-9)
+    assert y == pytest.approx(0.0, abs=1e-9)
 
 
 def test_apply_flight_multi_crossing_frozen_case():
-    # oracle-computed end point for start (0.3L, 1.1), flight (4.7L, 2.6)
-    start, flight = (0.3 * L, 1.1), (4.7 * L, 2.6)
+    # oracle-computed end point for start (0.3L, 1.1) in polar form,
+    # flight (4.7L, 2.6)
+    start, flight = (0.3 * L * math.cos(1.1), 0.3 * L * math.sin(1.1)), (4.7 * L, 2.6)
     expected = trace_flight(*start, *flight, L)
-    rho, theta = advance(*start, *flight, L)
-    assert rho == pytest.approx(expected[0], abs=1e-9)
-    assert rho * math.cos(theta) == pytest.approx(
-        expected[0] * math.cos(expected[1]), abs=1e-9
-    )
-    assert rho * math.sin(theta) == pytest.approx(
-        expected[0] * math.sin(expected[1]), abs=1e-9
-    )
+    x, y = advance(*start, *flight, L)
+    assert x == pytest.approx(expected[0], abs=1e-9)
+    assert y == pytest.approx(expected[1], abs=1e-9)
     # frozen from the oracle, guarding both codepaths against drift
-    assert rho == pytest.approx(476.36820022786407, abs=1e-8)
-    assert theta == pytest.approx(2.2804981135561353, abs=1e-10)
+    assert math.hypot(x, y) == pytest.approx(476.36820022786407, abs=1e-8)
+    assert math.atan2(y, x) == pytest.approx(2.2804981135561353, abs=1e-10)
     assert expected[2] == 2                      # two boundary crossings
 
 
 def test_apply_flight_rejects_outside_start():
     with pytest.raises(ValueError):
         advance(L + 1.0, 0.0, 10.0, 0.0, L)
+    with pytest.raises(ValueError):
+        advance(np.array([0.0, 0.6 * L]), 0.9 * L, 10.0, 0.0, L)
 
 
 def test_advance_agrees_with_trace_oracle():
     rng = np.random.default_rng(42)
     n = 100_000
-    rho, theta, length, direction = _random_inputs(rng, n)
-    r_end, t_end = advance(rho, theta, length, direction, L)
+    x, y, length, direction = _random_inputs(rng, n)
+    x_end, y_end = advance(x, y, length, direction, L)
     worst = 0.0
     for i in range(n):
-        ro, to, _ = trace_flight(rho[i], theta[i], length[i], direction[i], L)
-        dx = r_end[i] * math.cos(t_end[i]) - ro * math.cos(to)
-        dy = r_end[i] * math.sin(t_end[i]) - ro * math.sin(to)
-        worst = max(worst, math.hypot(dx, dy))
+        xo, yo, _ = trace_flight(x[i], y[i], length[i], direction[i], L)
+        worst = max(worst, math.hypot(x_end[i] - xo, y_end[i] - yo))
     assert worst <= 1e-9
 
 
 def test_boundary_conservation_randomized():
     rng = np.random.default_rng(43)
-    rho, theta, length, direction = _random_inputs(rng, 200_000, max_len=50 * L)
-    r_end, _ = advance(rho, theta, length, direction, L)
-    assert np.all(r_end <= L)
+    x, y, length, direction = _random_inputs(rng, 200_000, max_len=50 * L)
+    assert _inside(*advance(x, y, length, direction, L), L)
 
 
 def test_composition_of_short_flights():
     rng = np.random.default_rng(44)
     for _ in range(200):
         rho, theta = 0.8 * L * math.sqrt(rng.random()), rng.random() * 2 * math.pi
+        x, y = rho * math.cos(theta), rho * math.sin(theta)
         direction = rng.random() * 2 * math.pi
         total = 0.9 * exit_distance(rho, direction - theta, L)   # stays inside the disk
         a = total * rng.random()
-        one = advance(rho, theta, total, direction, L)
-        mid = advance(rho, theta, a, direction, L)
+        one = advance(x, y, total, direction, L)
+        mid = advance(x, y, a, direction, L)
         two = advance(*mid, total - a, direction, L)
-        dx = one[0] * math.cos(one[1]) - two[0] * math.cos(two[1])
-        dy = one[0] * math.sin(one[1]) - two[0] * math.sin(two[1])
-        assert math.hypot(dx, dy) <= 1e-9
+        assert math.hypot(one[0] - two[0], one[1] - two[1]) <= 1e-9
 
 
 def test_tangent_degenerate_flight_stays_put():
-    rho, theta = advance(L, 0.0, 123.0, math.pi / 2, L)   # tangent heading
-    assert rho == pytest.approx(L)
-    assert theta == pytest.approx(0.0, abs=1e-12)
+    # from each axis point of the boundary, the heading a quarter turn
+    # counterclockwise is tangent (the line offset is exactly L)
+    x = np.array([L, 0.0, -L, 0.0])
+    y = np.array([0.0, L, 0.0, -L])
+    heading = np.array([0.5, 1.0, 1.5, 0.0]) * math.pi
+    x_end, y_end = advance(x, y, 123.0, heading, L)
+    assert np.array_equal(x_end, x) and np.array_equal(y_end, y)
+    assert advance(L, 0.0, 123.0, math.pi / 2, L) == (L, 0.0)
+
+
+def test_scalar_inputs_give_floats():
+    end = advance(0.25 * L, -0.5 * L, 3.0 * L, 1.0, L)
+    assert type(end) is tuple and all(type(v) is float for v in end)
+    assert end == advance(np.array([0.25 * L]), -0.5 * L, 3.0 * L, 1.0, L)
+    x, y = advance(np.zeros((2, 3)), 0.0, np.full((2, 1), 1.5 * L), 0.0, L)
+    assert x.shape == y.shape == (2, 3)
+    assert np.allclose(x, -L / 2) and np.allclose(y, 0.0)
+
+
+def test_chained_flights_from_the_clamped_boundary():
+    # 100 users x 100 flights, every flight starting from a point scaled onto
+    # the boundary (so x**2 + y**2 may exceed L**2 by rounding); a tenth of
+    # the headings are tangent up to rounding
+    rng = np.random.default_rng(45)
+    theta = rng.random(100) * 2 * np.pi
+    x, y = L * np.cos(theta), L * np.sin(theta)
+    for _ in range(100):
+        scale = L / np.hypot(x, y)
+        x, y = x * scale, y * scale
+        heading = rng.random(100) * 2 * np.pi
+        heading[:10] = np.arctan2(y[:10], x[:10]) + 0.5 * np.pi
+        length = np.where(rng.random(100) < 0.5, rng.random(100) * 10 * L, rng.random(100))
+        x, y = advance(x, y, length, heading, L)
+        assert _inside(x, y, L)
 
 
 # ---------------------------------------------------------------- population
 
 def test_step_population_empty():
     empty = np.empty(0)
-    rho, theta = advance(empty, empty, empty, empty, L)
-    assert rho.shape == theta.shape == (0,)
+    x, y = advance(empty, empty, empty, empty, L)
+    assert x.shape == y.shape == (0,)
 
 
 def test_step_population_conserves_count_and_disk():
     cfg = NetworkConfig(N=1000)
     rng = np.random.default_rng(7)
-    rho = cfg.L * np.sqrt(rng.random(cfg.N))
-    theta = rng.random(cfg.N) * 2 * math.pi
+    x, y, _, _ = _random_inputs(rng, cfg.N)
     lengths = sample_flight_length(1.0 - rng.random(cfg.N), cfg.alpha, cfg.delta)
     dirs = sample_direction(rng.random(cfg.N))
-    rho, theta = advance(rho, theta, lengths, dirs, cfg.L)
-    assert rho.shape == theta.shape == (cfg.N,)
-    assert np.all(rho <= cfg.L)
+    x, y = advance(x, y, lengths, dirs, cfg.L)
+    assert x.shape == y.shape == (cfg.N,)
+    assert _inside(x, y, cfg.L)
 
 
 def test_uniformity_preserved_after_one_and_hundred_steps():
@@ -171,13 +199,14 @@ def test_uniformity_preserved_after_one_and_hundred_steps():
     rng = np.random.default_rng(8)
     rho = cfg.L * np.sqrt(rng.random(cfg.N))
     theta = rng.random(cfg.N) * 2 * np.pi
+    x, y = rho * np.cos(theta), rho * np.sin(theta)
     checked = 0
     for step in range(1, 101):
         lengths = sample_flight_length(1.0 - rng.random(cfg.N), cfg.alpha, cfg.delta)
         dirs = sample_direction(rng.random(cfg.N))
-        rho, theta = advance(rho, theta, lengths, dirs, cfg.L)
+        x, y = advance(x, y, lengths, dirs, cfg.L)
         if step in (1, 100):
-            res = uniformity_test(np.column_stack([rho, theta]), bins=50, L=cfg.L)
+            res = uniformity_test(np.column_stack([x, y]), bins=50, L=cfg.L)
             assert res.p_value > 0.01
             checked += 1
     assert checked == 2
@@ -203,7 +232,7 @@ def test_uniformity_test_exact_grid_is_flat():
         for k in range(s):
             for j in range(4):                      # four points per region
                 ang = (k + (j + 1) / 5.0) * 2 * math.pi / s
-                pts.append((r_mid, ang))
+                pts.append((r_mid * math.cos(ang), r_mid * math.sin(ang)))
     res = uniformity_test(np.array(pts), bins=50, L=L)
     assert res.statistic == pytest.approx(0.0, abs=1e-12)
     assert res.p_value == pytest.approx(1.0)
@@ -218,7 +247,7 @@ def test_uniformity_test_input_validation():
     with pytest.raises(ValueError):
         uniformity_test(np.empty((0, 2)), bins=10, L=L)
     with pytest.raises(ValueError):
-        uniformity_test(np.zeros((10, 3)), bins=10, L=L)      # not (rho, theta) rows
+        uniformity_test(np.zeros((10, 3)), bins=10, L=L)      # not (x, y) rows
     with pytest.raises(ValueError):
         uniformity_test(np.array([[L + 1, 0.0]]), bins=10, L=L)
     with pytest.raises(ValueError):

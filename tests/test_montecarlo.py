@@ -101,9 +101,11 @@ def test_occupancy_histogram_matches_binomial(desk_cfg, probs_at_R):
 
 
 def test_occupancy_means_invariant_across_steps(desk_cfg):
+    # 16 replications give each SE 15 degrees of freedom; with 3, a 3-SE
+    # bound fails several times as often as intended
     runs = [
         run_occupancy(
-            _plan(scenario="occupancy", replications=4, steps_per_replication=2_200,
+            _plan(scenario="occupancy", replications=16, steps_per_replication=750,
                   warmup_steps=200, seed=40),
             replace(desk_cfg, delta=delta),
         )
@@ -222,7 +224,9 @@ def test_bit_identical_reruns(desk_cfg, channel, probs_at_RI):
 
 # Outputs of a small plan frozen as float.hex, so that any change to the
 # arithmetic or to the order of RNG draws shows.  The 50 m macro disk makes
-# the 1 m distance-floor resampling fire in live runs.
+# the 1 m distance-floor resampling fire in live runs.  The live values also
+# pin the rounding of the flight stepper: its re-entry map is expanding, so
+# any change to the arithmetic of ``advance`` moves them.
 FROZEN_CFG = NetworkConfig(N=300, L=50.0, R=6.0, R_I=12.0, delta=5.0)
 FROZEN_PLAN = dict(replications=2, steps_per_replication=30, warmup_steps=5, seed=11)
 FROZEN_THRESHOLD = 4e-4
@@ -249,19 +253,19 @@ def test_outputs_frozen_bit_for_bit(channel):
     expected = {
         "live": {
             "interference": (
-                ("0x1.0e17feeecdf3cp-4", "0x1.4bf61263f2640p-11", 50),
-                ("0x1.67c759068e3aap-10", "0x1.50a72c5f81913p-13", 50),
-                ("0x1.1a44d47a8ea3ep-6", "0x1.74a8243f03da8p-10", 50),
-                ("0x1.a92fcdbcb8fc6p-15", "0x1.6c2b325839121p-17", 50),
+                ("0x1.0e180061c6117p-4", "0x1.4bf557451ecffp-11", 50),
+                ("0x1.67c76c5da3b52p-10", "0x1.50a690a19c834p-13", 50),
+                ("0x1.1a44dabfd0ab0p-6", "0x1.74a8889347fa0p-10", 50),
+                ("0x1.a92fe94505a94p-15", "0x1.6c2ac436b4512p-17", 50),
                 4,
             ),
             CellType.CSG: (
                 ("0x1.5c28f5c28f5c2p-2", "0x1.47ae147ae1478p-6", 50),
-                ("0x1.04e91ec21392cp+11", "0x1.5b535ecc80d80p+7", 50),
+                ("0x1.04e91ec1ef549p+11", "0x1.5b535ec2ba6a0p+7", 50),
             ),
             CellType.OSG: (
                 ("0x1.47ae147ae147bp-1", "0x1.47ae147ae1480p-5", 50),
-                ("0x1.68e3c3b95207dp+12", "0x1.0ec5c7da2c697p+9", 50),
+                ("0x1.68e3c3c2102d7p+12", "0x1.0ec5c76182580p+9", 50),
             ),
         },
         "stationary": {
