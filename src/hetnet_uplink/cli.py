@@ -10,7 +10,8 @@ Figure aliases bundle a scenario with a documented parameter grid:
   figure6   crossing probabilities vs delta over [1, 300]
   figure7   success vs kappa, closed cell, delta=30
   figure8   success vs kappa, open cell, delta=3
-  figure9   success vs delta at kappa=0.9
+  figure9   success vs delta at kappa=0.9 (constant: the stationary
+            weight R_I**2/L**2 does not depend on delta)
   figure10  rate vs kappa, closed cell, delta=3
   figure11  rate vs kappa, open cell, delta=3
   figure12  success and rate vs user count {500,1000,2000,4000}
@@ -188,8 +189,7 @@ def _occupancy_rows(scenario, manifest, cfg, ch, analytic, plan):
             c = replace(cfg, delta=float(delta))
             mean_a = var_a = None
             if analytic:
-                cp = crossing_probabilities(c)
-                mom = occupancy_moments(c.N, cp.p_in, cp.p_out)
+                mom = occupancy_moments(c.N, c.R**2 / c.L**2)
                 mean_a, var_a = mom.mean, mom.variance
             est = run_occupancy(plan, c, trace_hook=hook) if plan else None
             mean_mc, mean_se = _mc(est and est.mean)
@@ -241,35 +241,28 @@ def _sinr_metrics(manifest, ch, analytic, plan):
     ``--rate-units``.  All kappa of one call are scored by one ``run_sinr``
     call on one set of draws (common random numbers): a kappa sweep samples
     the interference once, and a live one steps the population once.  The
-    R_I crossing point is read once per delta, and only when the analytic
-    engine or stationary Monte Carlo needs it: live Monte Carlo does not.
+    analytic engine and stationary Monte Carlo weigh the interferer count by
+    R_I**2/L**2, so no crossing point is computed.
     """
     threshold = db_to_linear(manifest.threshold_db)
     scale = {"success": 1.0, "rate": 1.0 if manifest.rate_units == "nats" else 1.0 / LN2}
-    points: dict = {}
 
     def metrics(c, kappas, names):
         queries = [PerformanceQuery(kappa=k, threshold=threshold, cell_type=c.cell_type)
                    for k in kappas]
-        p_in = p_out = None
-        if analytic or manifest.mode == "stationary":
-            if c.delta not in points:
-                cp = crossing_probabilities(c, c.R_I)
-                points[c.delta] = cp.p_in, cp.p_out
-            p_in, p_out = points[c.delta]
 
         def analytic_values(query):
             if not analytic:
                 return {}
             if names == ("success",):
-                return {"success": success_probability(query, c, ch, p_in, p_out)}
-            res = evaluate(query, c, ch, p_in, p_out, with_success="success" in names)
+                return {"success": success_probability(query, c, ch)}
+            res = evaluate(query, c, ch)
             return {"success": res.success_probability, "rate": scale["rate"] * res.average_rate}
 
         values = [analytic_values(query) for query in queries]
         estimates = [(None, None)] * len(queries)
         if plan:
-            estimates = run_sinr(plan, c, ch, queries, mode=manifest.mode, p_in=p_in, p_out=p_out)
+            estimates = run_sinr(plan, c, ch, queries, mode=manifest.mode)
         return [
             {name: (v.get(name), *_mc(e, scale[name]))
              for name, e in zip(("success", "rate"), est) if name in names}

@@ -6,7 +6,10 @@ support is [1, R_I] with density 2x/(R_I**2 - 1); for an open cell only
 the ring [R, R_I] interferes, with density 2x/(R_I**2 - R**2).  The total
 interference composes the per-interferer MGF with the generating function
 of the in-cell count at radius R_I (Bernoulli-thinned by the ring weight
-q = 1 - R**2/R_I**2 in the open case).
+q = 1 - R**2/R_I**2 in the open case).  That count is Binomial(N, eta)
+with eta = R_I**2/L**2, the area ratio of the interfering disk, which the
+crossing pair at R_I reproduces as p_in/(p_in + p_out) by detailed
+balance; a pair passed explicitly sets eta instead.
 
 MGF evaluation is restricted to s <= 0: all consumers evaluate at
 negative arguments and the MGF need not exist for s > 0.  Moments come
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from scipy import integrate
 
 from .config import CellType, ChannelConfig, NetworkConfig
-from .crossing import crossing_probabilities
+from .crossing import crossing_probabilities  # noqa: F401  (bench/tracing.py wraps this name)
 from .occupancy import occupancy_pgf
 
 BETA_TOL = 1e-9
@@ -103,12 +106,14 @@ def interferer_mgf(
     return _rayleigh_mgf_ring(s, ch, lo, R_I)
 
 
-def _eta(cfg: NetworkConfig, p_in, p_out):
+def _eta(cfg: NetworkConfig, p_in: float | None = None, p_out: float | None = None) -> float:
+    """Stationary weight of the interfering disk: R_I**2/L**2, or
+    p_in/(p_in + p_out) of a crossing pair given in full."""
+    if p_in is None and p_out is None:
+        return cfg.R_I**2 / cfg.L**2
     if p_in is None or p_out is None:
-        probs = crossing_probabilities(cfg, cfg.R_I)
-        p_in = probs.p_in if p_in is None else p_in
-        p_out = probs.p_out if p_out is None else p_out
-    return p_in / (p_in + p_out), p_in, p_out
+        raise ValueError("give both p_in and p_out, or neither")
+    return p_in / (p_in + p_out)
 
 
 def total_mgf(
@@ -126,14 +131,14 @@ def total_mgf(
     """
     if s > 0.0:
         raise ValueError("total MGF is only evaluated at s <= 0")
+    eta = _eta(cfg, p_in, p_out)
     if cfg.N == 0 or s == 0.0:
         return 1.0
-    eta, p_in, p_out = _eta(cfg, p_in, p_out)
     g = interferer_mgf(s, ch, cfg.cell_type, cfg.R, cfg.R_I)
     if cfg.cell_type is CellType.OSG:
         q = 1.0 - cfg.R**2 / cfg.R_I**2
         g = q * g + 1.0 - q
-    return occupancy_pgf(g, cfg.N, p_in, p_out)
+    return occupancy_pgf(g, cfg.N, eta)
 
 
 def total_moments(
@@ -143,9 +148,9 @@ def total_moments(
     p_out: float | None = None,
 ) -> tuple[float, float]:
     """Mean [W] and variance [W**2] of the total uplink interference."""
+    eta = _eta(cfg, p_in, p_out)
     if cfg.N == 0:
         return 0.0, 0.0
-    eta, _, _ = _eta(cfg, p_in, p_out)
     if cfg.cell_type is CellType.CSG:
         mom = csg_interferer_moments(ch, cfg.R_I)
         weight = cfg.N * eta

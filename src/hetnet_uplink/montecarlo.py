@@ -7,8 +7,9 @@ of replication means; per-step samples are autocorrelated and never feed
 a standard error directly.
 
 Interference and SINR runs exist in two modes.  ``stationary`` draws the
-interferer count from the binomial stationary law and positions from the
-analytic support densities, mirroring the independence assumptions of the
+interferer count from the binomial stationary law (weight R_I**2/L**2, or
+the ratio of a crossing pair passed in) and positions from the analytic
+support densities, mirroring the independence assumptions of the
 closed forms; ``live`` measures the same quantities on a mobile
 population, which additionally captures whatever those assumptions miss.
 """
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CellType, ChannelConfig, NetworkConfig
-from .crossing import crossing_probabilities
+from .crossing import crossing_probabilities  # noqa: F401  (bench/tracing.py wraps this name)
+from .interference import _eta
 from .mobility import advance, sample_direction, sample_flight_length
 from .performance import PerformanceQuery
 
@@ -205,14 +207,6 @@ def _stationary_interference(rng, n, count_n, count_p, lo, hi, ch):
     return np.bincount(owner, weights=contrib, minlength=n)
 
 
-def _interference_eta(cfg, p_in, p_out):
-    if p_in is None or p_out is None:
-        probs = crossing_probabilities(cfg, cfg.R_I)
-        p_in = probs.p_in if p_in is None else p_in
-        p_out = probs.p_out if p_out is None else p_out
-    return p_in / (p_in + p_out)
-
-
 def run_interference(
     plan: ExperimentPlan,
     cfg: NetworkConfig,
@@ -234,7 +228,7 @@ def run_interference(
     c_means, c_vars, o_means, o_vars = [], [], [], []
     resampled = 0
     if mode == "stationary":
-        eta = _interference_eta(cfg, p_in, p_out)
+        eta = _eta(cfg, p_in, p_out)
     for rng in _substreams(plan.seed, plan.replications):
         if mode == "stationary":
             ic = _stationary_interference(rng, n, cfg.N, eta, 1.0, cfg.R_I, ch)
@@ -294,7 +288,7 @@ def run_sinr(
     successes = [[] for _ in queries]
     rates = [[] for _ in queries]
     if mode == "stationary":
-        eta = _interference_eta(cfg, p_in, p_out)
+        eta = _eta(cfg, p_in, p_out)
         count_p, lo = (eta * q, cfg.R) if open_cell else (eta, 1.0)
     for rng in _substreams(plan.seed, plan.replications):
         if mode == "stationary":

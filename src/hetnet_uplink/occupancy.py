@@ -3,10 +3,12 @@
 With homogenized per-user probabilities p_in (enter) and p_out (leave),
 departures from state k are Binomial(k, p_out) and arrivals are
 Binomial(N - k, p_in), independent.  The stationary law is
-Binomial(N, p_in/(p_in + p_out)): each user is in the cell independently
-with the flux-balance weight.  The full transition matrix exists for
-oracle testing; at scale only the closed forms matter, so materializing
-it is capped at N = 2048.
+Binomial(N, eta) with the flux-balance weight eta = p_in/(p_in + p_out):
+each user is in the cell independently.  Uniform stationary positions
+make eta the area ratio r**2/L**2 of the disk, so the stationary law, its
+PGF and its moments take eta alone.  The full transition matrix exists
+for oracle testing; at scale only the closed forms matter, so
+materializing it is capped at N = 2048.
 """
 from __future__ import annotations
 
@@ -51,28 +53,27 @@ def transition_matrix(N: int, p_in: float, p_out: float) -> np.ndarray:
     return P
 
 
-def stationary_distribution(N: int, p_in: float, p_out: float) -> np.ndarray:
-    """Binomial(N, p_in/(p_in+p_out)) pmf over {0..N}."""
-    _check_probs(N, p_in, p_out)
-    eta = p_in / (p_in + p_out)
+def _check_eta(N, eta):
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
+
+
+def stationary_distribution(N: int, eta: float) -> np.ndarray:
+    """Binomial(N, eta) pmf over {0..N}."""
+    _check_eta(N, eta)
     return stats.binom.pmf(np.arange(N + 1), N, eta)
 
 
-def occupancy_pgf(z: float, N: int, p_in: float, p_out: float) -> float:
+def occupancy_pgf(z: float, N: int, eta: float) -> float:
     """Probability generating function (eta*z + 1 - eta)**N of the
     stationary in-cell count."""
-    _check_probs(max(N, 1), p_in, p_out)
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
-    eta = p_in / (p_in + p_out)
+    _check_eta(N, eta)
     return float((eta * z + 1.0 - eta) ** N)
 
 
-def occupancy_moments(N: int, p_in: float, p_out: float) -> OccupancyMoments:
+def occupancy_moments(N: int, eta: float) -> OccupancyMoments:
     """Stationary mean N*eta and variance N*eta*(1-eta)."""
-    _check_probs(max(N, 1), p_in, p_out)
-    total = p_in + p_out
-    return OccupancyMoments(
-        mean=N * p_in / total,
-        variance=N * p_in * p_out / total**2,
-    )
+    _check_eta(N, eta)
+    return OccupancyMoments(mean=N * eta, variance=N * eta * (1.0 - eta))

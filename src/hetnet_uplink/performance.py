@@ -85,7 +85,7 @@ def average_rate(
     p_out: float | None = None,
 ) -> float:
     """Average achievable rate [nats/s] of a home user at kappa."""
-    return evaluate(q, cfg, ch, p_in, p_out, with_success=False).average_rate
+    return evaluate(q, cfg, ch, p_in, p_out).average_rate
 
 
 def evaluate(
@@ -94,13 +94,12 @@ def evaluate(
     ch: ChannelConfig,
     p_in: float | None = None,
     p_out: float | None = None,
-    with_success: bool = True,
 ) -> MetricResult:
     """Success probability plus average rate with a quadrature error bound."""
     _check_query(q, cfg)
     cfg = _query_cfg(q, cfg)
+    success = success_probability(q, cfg, ch, p_in, p_out)
     if ch.W == 0.0:
-        success = success_probability(q, cfg, ch, p_in, p_out) if with_success else math.nan
         return MetricResult(success, 0.0, 0.0)
 
     attn = (q.kappa * cfg.R) ** ch.beta
@@ -128,5 +127,4 @@ def evaluate(
 
     rate = ch.W * (head + tail)
     err = ch.W * (err_head + err_tail)
-    success = success_probability(q, cfg, ch, p_in, p_out) if with_success else math.nan
     return MetricResult(success, rate, err)

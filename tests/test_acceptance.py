@@ -118,7 +118,7 @@ def test_criterion_04_crossing_cross_validation():
 
 def test_criterion_05_occupancy_law(desk_cfg, probs_at_R):
     # small-N exact chain vs the closed-form binomial
-    pi = stationary_distribution(20, probs_at_R.p_in, probs_at_R.p_out)
+    pi = stationary_distribution(20, AREA_RATIO)
     oracle = power_iteration(transition_matrix(20, probs_at_R.p_in, probs_at_R.p_out))
     tv = 0.5 * float(np.abs(pi - oracle).sum())
     ok_tv = tv <= 1e-8
@@ -151,24 +151,22 @@ def test_criterion_05_occupancy_law(desk_cfg, probs_at_R):
 
 
 def test_criterion_06_step_length_invariance(channel):
+    # the stationary chain reads eta = r**2/L**2 alone, so its occupancy and
+    # interference moments are the same floats at every delta; the route
+    # through each delta's crossing pair, eta = p_in/(p_in + p_out), must
+    # reproduce them to rounding
     deltas = (5.0, 30.0, 100.0, 300.0)
-    occ_mean, occ_var, int_mean, int_var = [], [], [], []
+    moments, worst_route = [], 0.0
     for delta in deltas:
         cfg = NetworkConfig(N=2000, delta=delta)
+        mom = occupancy_moments(cfg.N, AREA_RATIO)
+        moments.append((mom.mean, mom.variance, *total_moments(cfg, channel)))
         cp_r = crossing_probabilities(cfg)
-        mom = occupancy_moments(cfg.N, cp_r.p_in, cp_r.p_out)
-        occ_mean.append(mom.mean)
-        occ_var.append(mom.variance)
         cp_i = crossing_probabilities(cfg, R_I)
-        mean, var = total_moments(cfg, channel, cp_i.p_in, cp_i.p_out)
-        int_mean.append(mean)
-        int_var.append(var)
-
-    def spread(xs):
-        return (max(xs) - min(xs)) / max(xs)
-
-    spreads = [spread(x) for x in (occ_mean, occ_var, int_mean, int_var)]
-    ok_analytic = max(spreads) <= 0.05
+        mom = occupancy_moments(cfg.N, cp_r.p_in / (cp_r.p_in + cp_r.p_out))
+        routed = (mom.mean, mom.variance, *total_moments(cfg, channel, cp_i.p_in, cp_i.p_out))
+        worst_route = max(worst_route, *(abs(b - a) / a for a, b in zip(moments[-1], routed)))
+    ok_analytic = all(m == moments[0] for m in moments) and worst_route <= 1e-13
 
     # live-mobility counterparts must agree pairwise within 3 SE.  16
     # replications give each SE 15 degrees of freedom; each keeps 550 steps,
@@ -191,7 +189,8 @@ def test_criterion_06_step_length_invariance(channel):
                 ok_mc &= gap <= 3.0 * math.hypot(pick(a).std_error, pick(b).std_error)
     ok = ok_analytic and ok_mc
     _report(6, "step-length invariance of occupancy and interference", ok,
-            f"max analytic spread {max(spreads):.2%}, MC pairwise 3-SE {'ok' if ok_mc else 'violated'}")
+            f"analytic identical across delta {'ok' if ok_analytic else 'BAD'} (crossing "
+            f"route rel dev {worst_route:.1e}), MC pairwise 3-SE {'ok' if ok_mc else 'violated'}")
     assert ok
 
 
@@ -264,23 +263,21 @@ def test_criterion_08_mgf_consistency(desk_cfg, channel, probs_at_RI):
     assert ok
 
 
-def test_criterion_09_sinr_metrics(desk_cfg, channel, probs_at_RI):
-    p_in, p_out = probs_at_RI.p_in, probs_at_RI.p_out
+def test_criterion_09_sinr_metrics(desk_cfg, channel):
     plan = ExperimentPlan("success", replications=8, steps_per_replication=125_001,
                           warmup_steps=1, seed=909)
     queries = [PerformanceQuery(kappa=kappa, threshold=T60, cell_type=CellType.CSG)
                for kappa in KAPPA_GRID]
-    estimates = run_sinr(plan, desk_cfg, channel, queries, p_in=p_in, p_out=p_out)
+    estimates = run_sinr(plan, desk_cfg, channel, queries)
     worst_gap = 0.0
     for q, (est, _) in zip(queries, estimates):
-        analytic = success_probability(q, desk_cfg, channel, p_in, p_out)
+        analytic = success_probability(q, desk_cfg, channel)
         worst_gap = max(worst_gap, abs(analytic - est.value))
     ok_success = worst_gap <= 0.03
 
     # noise-only rate against the direct sampling average
     q = queries[KAPPA_GRID.index(0.9)]
-    rate0 = evaluate(q, replace(desk_cfg, N=0), channel, p_in, p_out,
-                     with_success=False).average_rate
+    rate0 = evaluate(q, replace(desk_cfg, N=0), channel).average_rate
     rng = np.random.default_rng(910)
     g = rng.exponential(channel.P_gamma, 10**7)
     snr = g * channel.P_t_h / ((0.9 * R) ** 2 * channel.noise_power)
@@ -289,7 +286,7 @@ def test_criterion_09_sinr_metrics(desk_cfg, channel, probs_at_RI):
     ok_rate0 = rel0 <= 0.02
 
     # full case within 3 SE
-    rate = evaluate(q, desk_cfg, channel, p_in, p_out, with_success=False).average_rate
+    rate = evaluate(q, desk_cfg, channel).average_rate
     _, r_est = estimates[KAPPA_GRID.index(0.9)]
     z = abs(rate - r_est.value) / r_est.std_error
     ok_rate = z <= 3.0

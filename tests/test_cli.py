@@ -203,18 +203,34 @@ def test_console_entry_point_runs():
 
 
 def test_live_mc_metrics_skip_crossing_quadrature(tmp_path, config_file, monkeypatch):
-    from hetnet_uplink import cli
+    """Only the crossing scenario computes crossing points: the stationary
+    outputs read the weight r**2/L**2, and live Monte Carlo reads none."""
+    from hetnet_uplink import cli, interference, montecarlo
 
     def no_quadrature(*args, **kwargs):
-        raise AssertionError("live Monte Carlo does not read the crossing point")
+        raise AssertionError("only the crossing scenario reads a crossing point")
 
-    monkeypatch.setattr(cli, "crossing_probabilities", no_quadrature)
-    live = ["--engine", "mc", "--mode", "live", "--steps", "20", "--warmup", "5",
-            "--replications", "2", "--config", str(config_file)]
-    for scenario, sweep in (("success", "kappa=0.9"), ("density_sweep", "n=500")):
-        status = main(["--scenario", scenario, "--sweep", sweep, *live,
-                       "--out", str(tmp_path / scenario)])
-        assert status == 0, scenario
+    for module in (cli, interference, montecarlo):
+        monkeypatch.setattr(module, "crossing_probabilities", no_quadrature)
+    effort = ["--steps", "20", "--warmup", "5", "--replications", "2",
+              "--config", str(config_file)]
+    live = ["--engine", "mc", "--mode", "live", *effort]
+    stationary = ["--engine", "both", "--mode", "stationary", *effort]
+    runs = {
+        "success-live": ["--scenario", "success", "--sweep", "kappa=0.9", *live],
+        "density-live": ["--scenario", "density_sweep", "--sweep", "n=500", *live],
+        "figure9": ["--scenario", "figure9", "--engine", "analytic",
+                    "--config", str(config_file)],
+        "occupancy": ["--scenario", "occupancy", "--engine", "analytic",
+                      "--config", str(config_file)],
+        "interference": ["--scenario", "interference", "--sweep", "delta=30", *stationary],
+        "success": ["--scenario", "success", "--sweep", "kappa=0.5,0.9", *stationary],
+        "density": ["--scenario", "density_sweep", "--sweep", "n=500", *stationary],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+    _, rows = _read_table(tmp_path / "figure9" / "figure9.csv")
+    assert len(rows) == 6 and len({row["success_analytic"] for row in rows}) == 1
 
 
 @pytest.mark.parametrize("mode, sampler, calls", [

@@ -22,7 +22,11 @@ four cases (the ``interference-live-mc``, ``rate-live-records`` and
 re-recorded when the flight stepper moved to Cartesian coordinates: its
 re-entry map is expanding, so the stepper's new rounding moves a few
 users by up to metres within these 40 steps.  Crossing, analytic,
-stationary and occupancy-count outputs stayed byte-identical.
+stationary and occupancy-count outputs stayed byte-identical.  The
+``occupancy-analytic-records`` table was re-recorded when the occupancy
+moments began to take the weight R**2/L**2 itself rather than the ratio of
+a crossing pair: five full-precision values moved by one ulp each, to the
+N*eta and N*eta*(1 - eta) that now print alike at every delta.
 """
 import hashlib
 import json

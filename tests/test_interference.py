@@ -151,39 +151,46 @@ def test_mgf_general_beta_between_closed_forms(channel):
 
 # ------------------------------------------------------------- totals
 
-def test_total_mgf_trivial_points(desk_cfg, channel, probs_at_RI):
-    p_in, p_out = probs_at_RI.p_in, probs_at_RI.p_out
-    assert total_mgf(0.0, desk_cfg, channel, p_in, p_out) == 1.0
+def test_total_mgf_trivial_points(desk_cfg, channel):
+    assert total_mgf(0.0, desk_cfg, channel) == 1.0
     empty = replace(desk_cfg, N=0)
-    assert total_mgf(-3.0, empty, channel, p_in, p_out) == 1.0
+    assert total_mgf(-3.0, empty, channel) == 1.0
 
 
 def test_ring_weight_reference_value(desk_cfg):
     assert 1.0 - desk_cfg.R**2 / desk_cfg.R_I**2 == pytest.approx(0.75)
 
 
-def test_total_moments_trivial_and_ordering(desk_cfg, channel, probs_at_RI):
-    p_in, p_out = probs_at_RI.p_in, probs_at_RI.p_out
-    assert total_moments(replace(desk_cfg, N=0), channel, p_in, p_out) == (0.0, 0.0)
-    csg_mean, csg_var = total_moments(desk_cfg, channel, p_in, p_out)
-    osg_mean, osg_var = total_moments(
-        replace(desk_cfg, cell_type=CellType.OSG), channel, p_in, p_out
-    )
+def test_total_moments_trivial_and_ordering(desk_cfg, channel):
+    assert total_moments(replace(desk_cfg, N=0), channel) == (0.0, 0.0)
+    csg_mean, csg_var = total_moments(desk_cfg, channel)
+    osg_mean, osg_var = total_moments(replace(desk_cfg, cell_type=CellType.OSG), channel)
     assert 0.0 < osg_mean < csg_mean
     assert csg_var > 0.0 and osg_var > 0.0
 
 
+def test_default_weight_is_the_crossing_pair_ratio(desk_cfg, channel, probs_at_RI):
+    # with no pair, the stationary weight is R_I**2/L**2: the ratio that the
+    # crossing pair at R_I gives by detailed balance, up to rounding
+    pair = (probs_at_RI.p_in, probs_at_RI.p_out)
+    for cell in (CellType.CSG, CellType.OSG):
+        cfg = replace(desk_cfg, cell_type=cell)
+        for got, want in zip(total_moments(cfg, channel), total_moments(cfg, channel, *pair)):
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    with pytest.raises(ValueError, match="both p_in and p_out"):
+        total_moments(desk_cfg, channel, probs_at_RI.p_in)
+    with pytest.raises(ValueError, match="both p_in and p_out"):
+        total_mgf(-1.0, desk_cfg, channel, p_out=probs_at_RI.p_out)
+
+
 @pytest.mark.parametrize("cell", [CellType.CSG, CellType.OSG])
 @pytest.mark.parametrize("beta", [2.0, 4.0])
-def test_total_mgf_derivatives_match_closed_moments(
-    desk_cfg, channel, probs_at_RI, cell, beta
-):
+def test_total_mgf_derivatives_match_closed_moments(desk_cfg, channel, cell, beta):
     cfg = replace(desk_cfg, cell_type=cell)
     ch = replace(channel, beta=beta)
-    p_in, p_out = probs_at_RI.p_in, probs_at_RI.p_out
-    mean, var = total_moments(cfg, ch, p_in, p_out)
+    mean, var = total_moments(cfg, ch)
     h = 1e-4 / mean
-    g = lambda s: total_mgf(s, cfg, ch, p_in, p_out)
+    g = lambda s: total_mgf(s, cfg, ch)
     f0, f1, f2, f3 = g(0.0), g(-h), g(-2 * h), g(-3 * h)
     d1 = (3 * f0 - 4 * f1 + f2) / (2 * h)             # one-sided, O(h**2)
     d2 = (2 * f0 - 5 * f1 + 4 * f2 - f3) / h**2
@@ -191,31 +198,24 @@ def test_total_mgf_derivatives_match_closed_moments(
     assert d2 - d1**2 == pytest.approx(var, rel=1e-2)
 
 
-def test_total_mgf_completely_monotone_grid(desk_cfg, channel, probs_at_RI):
-    p_in, p_out = probs_at_RI.p_in, probs_at_RI.p_out
+def test_total_mgf_completely_monotone_grid(desk_cfg, channel):
     for cell in (CellType.CSG, CellType.OSG):
         cfg = replace(desk_cfg, cell_type=cell)
         s_grid = -np.logspace(-3, 4, 30)[::-1]        # rising toward zero
-        values = [total_mgf(float(s), cfg, channel, p_in, p_out) for s in s_grid]
+        values = [total_mgf(float(s), cfg, channel) for s in s_grid]
         assert all(0.0 < v <= 1.0 for v in values)
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
-def test_total_mean_matches_mc(desk_cfg, channel, probs_at_RI):
+def test_total_mean_matches_mc(desk_cfg, channel):
     from hetnet_uplink import ExperimentPlan, run_interference
 
     plan = ExperimentPlan(
         "interference", replications=8, steps_per_replication=25_000, warmup_steps=0, seed=31
     )
-    run = run_interference(
-        plan, desk_cfg, channel, mode="stationary",
-        p_in=probs_at_RI.p_in, p_out=probs_at_RI.p_out,
-    )
-    csg_mean, csg_var = total_moments(desk_cfg, channel, probs_at_RI.p_in, probs_at_RI.p_out)
-    osg_mean, _ = total_moments(
-        replace(desk_cfg, cell_type=CellType.OSG), channel,
-        probs_at_RI.p_in, probs_at_RI.p_out,
-    )
+    run = run_interference(plan, desk_cfg, channel, mode="stationary")
+    csg_mean, csg_var = total_moments(desk_cfg, channel)
+    osg_mean, _ = total_moments(replace(desk_cfg, cell_type=CellType.OSG), channel)
     assert abs(run.csg_mean.value - csg_mean) <= 3.0 * run.csg_mean.std_error
     assert abs(run.osg_mean.value - osg_mean) <= 3.0 * run.osg_mean.std_error
     assert abs(run.csg_variance.value - csg_var) <= 3.0 * run.csg_variance.std_error

@@ -134,24 +134,20 @@ def test_interference_empty_population(channel):
     run = run_interference(
         _plan(scenario="interference", replications=2, steps_per_replication=200,
               warmup_steps=0),
-        cfg, channel, p_in=0.0576, p_out=0.9424,
-    )
+        cfg, channel)
     assert run.csg_mean.value == 0.0
     assert run.osg_mean.value == 0.0
 
 
-def test_interference_live_mode_agrees_with_stationary(desk_cfg, channel, probs_at_RI):
-    kw = dict(p_in=probs_at_RI.p_in, p_out=probs_at_RI.p_out)
+def test_interference_live_mode_agrees_with_stationary(desk_cfg, channel):
     stationary = run_interference(
         _plan(scenario="interference", replications=4, steps_per_replication=6_000,
               warmup_steps=100, seed=61),
-        desk_cfg, channel, mode="stationary", **kw,
-    )
+        desk_cfg, channel, mode="stationary")
     live = run_interference(
         _plan(scenario="interference", replications=4, steps_per_replication=1_600,
               warmup_steps=100, seed=62),
-        desk_cfg, channel, mode="live", **kw,
-    )
+        desk_cfg, channel, mode="live")
     gap = abs(stationary.csg_mean.value - live.csg_mean.value)
     assert gap <= 3.0 * math.hypot(stationary.csg_mean.std_error, live.csg_mean.std_error)
     # open cells see strictly less interference, with clear significance
@@ -167,39 +163,35 @@ def test_interference_rejects_unknown_mode(desk_cfg, channel):
 
 # ---------------------------------------------------------------- SINR
 
-def test_sinr_tiny_threshold_always_succeeds(desk_cfg, channel, probs_at_RI):
+def test_sinr_tiny_threshold_always_succeeds(desk_cfg, channel):
     q = PerformanceQuery(kappa=0.9, threshold=1e-300, cell_type=CellType.CSG)
     success, _ = run_sinr(
         _plan(scenario="success", replications=2, steps_per_replication=2_000,
               warmup_steps=0),
-        desk_cfg, channel, q, p_in=probs_at_RI.p_in, p_out=probs_at_RI.p_out,
-    )
+        desk_cfg, channel, q)
     assert success.value == 1.0
 
 
-def test_sinr_curve_tracks_analytic_over_kappa(desk_cfg, channel, probs_at_RI):
+def test_sinr_curve_tracks_analytic_over_kappa(desk_cfg, channel):
     from hetnet_uplink import success_probability
 
     plan = _plan(scenario="success", replications=4, steps_per_replication=25_000,
                  warmup_steps=0, seed=83)
     queries = [PerformanceQuery(kappa=kappa, threshold=T60, cell_type=CellType.CSG)
                for kappa in (0.3, 0.9)]
-    estimates = run_sinr(plan, desk_cfg, channel, queries,
-                         p_in=probs_at_RI.p_in, p_out=probs_at_RI.p_out)
+    estimates = run_sinr(plan, desk_cfg, channel, queries)
     for q, (est, _) in zip(queries, estimates):
-        analytic = success_probability(q, desk_cfg, channel,
-                                       probs_at_RI.p_in, probs_at_RI.p_out)
+        analytic = success_probability(q, desk_cfg, channel)
         assert abs(est.value - analytic) <= 0.03
 
 
-def test_sinr_density_sweep_monotone(desk_cfg, channel, probs_at_RI):
+def test_sinr_density_sweep_monotone(desk_cfg, channel):
     plan = _plan(scenario="density_sweep", replications=4,
                  steps_per_replication=25_000, warmup_steps=0, seed=29)
     q = PerformanceQuery(kappa=0.9, threshold=T60, cell_type=CellType.CSG)
     successes, rates = [], []
     for n in (500, 1000, 2000, 4000):
-        s, r = run_sinr(plan, replace(desk_cfg, N=n), channel, q,
-                        p_in=probs_at_RI.p_in, p_out=probs_at_RI.p_out)
+        s, r = run_sinr(plan, replace(desk_cfg, N=n), channel, q)
         successes.append(s.value)
         rates.append(r.value)
     assert all(a >= b for a, b in zip(successes, successes[1:]))
@@ -208,17 +200,16 @@ def test_sinr_density_sweep_monotone(desk_cfg, channel, probs_at_RI):
 
 # ---------------------------------------------------------------- protocol
 
-def test_bit_identical_reruns(desk_cfg, channel, probs_at_RI):
+def test_bit_identical_reruns(desk_cfg, channel):
     cfg = NetworkConfig(N=500, delta=30.0)
     plan = _plan(steps_per_replication=5_000, warmup_steps=0, seed=123)
     a = run_crossing(plan, cfg)
     b = run_crossing(plan, cfg)
     assert a == b
-    kw = dict(p_in=probs_at_RI.p_in, p_out=probs_at_RI.p_out)
     plan_i = _plan(scenario="interference", replications=2,
                    steps_per_replication=800, warmup_steps=0, seed=9)
-    x = run_interference(plan_i, cfg, channel, **kw)
-    y = run_interference(plan_i, cfg, channel, **kw)
+    x = run_interference(plan_i, cfg, channel)
+    y = run_interference(plan_i, cfg, channel)
     assert x.csg_mean == y.csg_mean and x.osg_mean == y.osg_mean
 
 

@@ -24,70 +24,62 @@ def test_query_validation():
         PerformanceQuery(kappa=0.9, threshold=0.0)
 
 
-def test_kappa_must_clear_pathloss_floor(desk_cfg, channel, probs_at_RI):
+def test_kappa_must_clear_pathloss_floor(desk_cfg, channel):
     with pytest.raises(ValueError):
-        success_probability(
-            _q(kappa=0.01), desk_cfg, channel, probs_at_RI.p_in, probs_at_RI.p_out
-        )
+        success_probability(_q(kappa=0.01), desk_cfg, channel)
 
 
-def test_vanishing_threshold_gives_certainty(desk_cfg, channel, probs_at_RI):
-    sp = success_probability(
-        _q(threshold=1e-300), desk_cfg, channel, probs_at_RI.p_in, probs_at_RI.p_out
-    )
+def test_vanishing_threshold_gives_certainty(desk_cfg, channel):
+    sp = success_probability(_q(threshold=1e-300), desk_cfg, channel)
     assert sp == pytest.approx(1.0, abs=1e-9)
 
 
-def test_no_interferers_reduces_to_noise_only_outage(desk_cfg, channel, probs_at_RI):
+def test_no_interferers_reduces_to_noise_only_outage(desk_cfg, channel):
     cfg = replace(desk_cfg, N=0)
     q = _q(threshold=10.0)         # noise-limited regime needs a harsh threshold
-    sp = success_probability(q, cfg, channel, probs_at_RI.p_in, probs_at_RI.p_out)
+    sp = success_probability(q, cfg, channel)
     scale = (q.kappa * cfg.R) ** channel.beta
     expected = math.exp(-scale * channel.noise_power * q.threshold / (channel.P_t_h * channel.P_gamma))
     assert sp == pytest.approx(expected, rel=1e-12)
 
 
-def test_success_nonincreasing_in_threshold_and_kappa(desk_cfg, channel, probs_at_RI):
-    args = (desk_cfg, channel, probs_at_RI.p_in, probs_at_RI.p_out)
+def test_success_nonincreasing_in_threshold_and_kappa(desk_cfg, channel):
+    args = (desk_cfg, channel)
     over_t = [success_probability(_q(threshold=t), *args) for t in (1e-7, 1e-6, 1e-5, 1e-4)]
     assert all(a >= b - 1e-12 for a, b in zip(over_t, over_t[1:]))
     over_k = [success_probability(_q(kappa=k), *args) for k in KAPPAS]
     assert all(a >= b - 1e-12 for a, b in zip(over_k, over_k[1:]))
 
 
-def test_open_cells_dominate_closed_cells(desk_cfg, channel, probs_at_RI):
-    args = (channel, probs_at_RI.p_in, probs_at_RI.p_out)
+def test_open_cells_dominate_closed_cells(desk_cfg, channel):
     for kappa in KAPPAS:
-        closed = success_probability(_q(kappa=kappa), desk_cfg, *args)
-        opened = success_probability(
-            _q(kappa=kappa, cell=CellType.OSG), desk_cfg, *args
-        )
+        closed = success_probability(_q(kappa=kappa), desk_cfg, channel)
+        opened = success_probability(_q(kappa=kappa, cell=CellType.OSG), desk_cfg, channel)
         assert opened >= closed
 
 
-def test_pathloss_crossover_between_cell_types(desk_cfg, channel, probs_at_RI):
+def test_pathloss_crossover_between_cell_types(desk_cfg, channel):
     """Higher pathloss hurts closed cells (in-cell interferers barely
     attenuate) but helps open cells (ring interferers attenuate faster
     than the signal)."""
-    p = (probs_at_RI.p_in, probs_at_RI.p_out)
     ch4 = replace(channel, beta=4.0)
-    csg2 = success_probability(_q(), desk_cfg, channel, *p)
-    csg4 = success_probability(_q(), desk_cfg, ch4, *p)
+    csg2 = success_probability(_q(), desk_cfg, channel)
+    csg4 = success_probability(_q(), desk_cfg, ch4)
     assert csg4 < csg2
-    osg2 = success_probability(_q(cell=CellType.OSG), desk_cfg, channel, *p)
-    osg4 = success_probability(_q(cell=CellType.OSG), desk_cfg, ch4, *p)
+    osg2 = success_probability(_q(cell=CellType.OSG), desk_cfg, channel)
+    osg4 = success_probability(_q(cell=CellType.OSG), desk_cfg, ch4)
     assert osg4 > osg2
 
 
-def test_rate_zero_bandwidth(desk_cfg, channel, probs_at_RI):
+def test_rate_zero_bandwidth(desk_cfg, channel):
     ch = replace(channel, W=0.0)
-    assert average_rate(_q(), desk_cfg, ch, probs_at_RI.p_in, probs_at_RI.p_out) == 0.0
+    assert average_rate(_q(), desk_cfg, ch) == 0.0
 
 
-def test_rate_noise_only_matches_direct_expectation(desk_cfg, channel, probs_at_RI):
+def test_rate_noise_only_matches_direct_expectation(desk_cfg, channel):
     cfg = replace(desk_cfg, N=0)
     q = _q()
-    rate = average_rate(q, cfg, channel, probs_at_RI.p_in, probs_at_RI.p_out)
+    rate = average_rate(q, cfg, channel)
     rng = np.random.default_rng(55)
     g = rng.exponential(channel.P_gamma, 10**7)
     snr = g * channel.P_t_h / ((q.kappa * cfg.R) ** channel.beta * channel.noise_power)
@@ -97,26 +89,23 @@ def test_rate_noise_only_matches_direct_expectation(desk_cfg, channel, probs_at_
     assert abs(rate - mc.mean()) <= 4.0 * se
 
 
-def test_rate_decreases_with_distance(desk_cfg, channel, probs_at_RI):
+def test_rate_decreases_with_distance(desk_cfg, channel):
     rates = [
-        average_rate(_q(kappa=k), desk_cfg, channel, probs_at_RI.p_in, probs_at_RI.p_out)
+        average_rate(_q(kappa=k), desk_cfg, channel)
         for k in (0.2, 0.4, 0.6, 0.8, 1.0)
     ]
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
-def test_rate_full_case_matches_mc(desk_cfg, channel, probs_at_RI):
+def test_rate_full_case_matches_mc(desk_cfg, channel):
     from hetnet_uplink import ExperimentPlan, run_sinr
 
     q = _q()
-    res = evaluate(q, desk_cfg, channel, probs_at_RI.p_in, probs_at_RI.p_out)
+    res = evaluate(q, desk_cfg, channel)
     plan = ExperimentPlan(
         "rate", replications=8, steps_per_replication=125_001, warmup_steps=1, seed=77
     )
-    s_est, r_est = run_sinr(
-        plan, desk_cfg, channel, q,
-        p_in=probs_at_RI.p_in, p_out=probs_at_RI.p_out,
-    )
+    s_est, r_est = run_sinr(plan, desk_cfg, channel, q)
     assert abs(res.average_rate - r_est.value) <= 3.0 * r_est.std_error
     assert abs(res.success_probability - s_est.value) <= 0.03
     assert res.quadrature_error < 1e-3
