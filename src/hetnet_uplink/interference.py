@@ -106,6 +106,12 @@ def interferer_mgf(
     return _rayleigh_mgf_ring(s, ch, lo, R_I)
 
 
+def _ring_weight(cfg: NetworkConfig) -> float:
+    """q = 1 - R**2/R_I**2: the share of the interfering disk that the
+    open-cell ring [R, R_I] covers."""
+    return 1.0 - cfg.R**2 / cfg.R_I**2
+
+
 def _eta(cfg: NetworkConfig, p_in: float | None = None, p_out: float | None = None) -> float:
     """Stationary weight of the interfering disk: R_I**2/L**2, or
     p_in/(p_in + p_out) of a crossing pair given in full."""
@@ -136,7 +142,7 @@ def total_mgf(
         return 1.0
     g = interferer_mgf(s, ch, cfg.cell_type, cfg.R, cfg.R_I)
     if cfg.cell_type is CellType.OSG:
-        q = 1.0 - cfg.R**2 / cfg.R_I**2
+        q = _ring_weight(cfg)
         g = q * g + 1.0 - q
     return occupancy_pgf(g, cfg.N, eta)
 
@@ -156,8 +162,7 @@ def total_moments(
         weight = cfg.N * eta
     else:
         mom = osg_interferer_moments(ch, cfg.R, cfg.R_I)
-        q = 1.0 - cfg.R**2 / cfg.R_I**2
-        weight = cfg.N * eta * q
+        weight = cfg.N * eta * _ring_weight(cfg)
     mean = weight * mom.first
     variance = weight * mom.second - weight**2 / cfg.N * mom.first**2
     return mean, variance

@@ -6,12 +6,22 @@ replications are scheduled.  Standard errors always come from the spread
 of replication means; per-step samples are autocorrelated and never feed
 a standard error directly.
 
-Interference and SINR runs exist in two modes.  ``stationary`` draws the
-interferer count from the binomial stationary law (weight R_I**2/L**2, or
-the ratio of a crossing pair passed in) and positions from the analytic
-support densities, mirroring the independence assumptions of the
-closed forms; ``live`` measures the same quantities on a mobile
-population, which additionally captures whatever those assumptions miss.
+Interference and SINR runs exist in two modes, and one sampler,
+``_interference``, serves both.  ``stationary`` draws the interferer count
+from the binomial stationary law (weight R_I**2/L**2, or the ratio of a
+crossing pair passed in) and positions from the analytic support
+densities, mirroring the independence assumptions of the closed forms;
+``live`` measures the same quantities on a mobile population, which
+additionally captures whatever those assumptions miss.  Both work in
+squared distance: a point uniform on an annulus has d**2 uniform on
+[r_lo**2, r_hi**2], and an interferer at d**2 with fading gain g
+contributes g * P_t_m / (d**2)**(beta/2).
+
+Of the ``steps_per_replication`` steps of a plan, the first
+``warmup_steps`` give no sample.  A live population starts uniform on the
+macro disk, which is already the stationary law of the flights, so no
+flight is spent on those steps: a live run with (steps s, warm-up w)
+equals the run with (s - w, 0) bit for bit.
 """
 from __future__ import annotations
 
@@ -22,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CellType, ChannelConfig, NetworkConfig
+from .crossing import _radius
 from .crossing import crossing_probabilities  # noqa: F401  (bench/tracing.py wraps this name)
-from .interference import _eta
+from .interference import _eta, _ring_weight
 from .mobility import advance, sample_direction, sample_flight_length
 from .performance import PerformanceQuery
 
@@ -93,13 +104,16 @@ def _pool(rep_values, samples_per_rep) -> EstimateWithError:
 
 
 def _uniform_annulus(rng, n, r_lo, r_hi):
-    """Radii of points uniform on the annulus r_lo <= r <= r_hi."""
-    return np.sqrt(r_lo**2 + rng.random(n) * (r_hi**2 - r_lo**2))
+    """Squared radii of n points uniform on the annulus r_lo <= r <= r_hi.
+
+    ``bench/tracing.py`` wraps this name and reads its positional n (the
+    draw count) and r_lo (nonzero for a floor redraw in a live run)."""
+    return r_lo**2 + rng.random(n) * (r_hi**2 - r_lo**2)
 
 
 def _uniform_positions(rng, n, r_lo, r_hi):
     """(x, y) of n points uniform on the annulus r_lo <= r <= r_hi."""
-    rho = _uniform_annulus(rng, n, r_lo, r_hi)
+    rho = np.sqrt(_uniform_annulus(rng, n, r_lo, r_hi))
     theta = rng.random(n) * 2.0 * np.pi
     return rho * np.cos(theta), rho * np.sin(theta)
 
@@ -112,35 +126,23 @@ def _fly(rng, x, y, cfg):
 
 
 def _live_steps(rng, plan: ExperimentPlan, cfg: NetworkConfig):
-    """Positions of a mobile population after each post-warmup step.
+    """Positions of a mobile population after each sampled step.
 
-    The population starts uniform on the macro disk and takes
-    ``plan.warmup_steps`` unobserved flights; then (x, y, x**2 + y**2) is
-    yielded per step.  Consumers may draw from ``rng`` between steps: the
-    next flight is drawn only when the next step is requested.
+    The population starts uniform on the macro disk, the stationary law of
+    the flights, and (x, y, x**2 + y**2) is yielded after each of the
+    ``steps_per_replication - warmup_steps`` flights.  Consumers may draw
+    from ``rng`` between steps: the next flight is drawn only when the
+    next step is requested.
     """
     x, y = _uniform_positions(rng, cfg.N, 0.0, cfg.L)
-    for _ in range(plan.warmup_steps):
-        x, y = _fly(rng, x, y, cfg)
     for _ in range(plan.steps_per_replication - plan.warmup_steps):
         x, y = _fly(rng, x, y, cfg)
         yield x, y, x * x + y * y
 
 
-def _floor_resample(rng, d2, R_I):
-    """Redraw, in place, the squared distances in ``d2`` below the 1 m floor
-    from the analytic support [1, R_I]; returns how many were redrawn."""
-    near = d2 < 1.0
-    k = int(near.sum())
-    if k:
-        d2[near] = _uniform_annulus(rng, k, 1.0, R_I) ** 2
-    return k
-
-
-def _interference_sum(rng, d2, ch):
-    """Total power of interferers at squared distances ``d2``, one fading draw each."""
-    g = rng.exponential(ch.P_gamma, d2.size)
-    return float((g * ch.P_t_m / d2 ** (ch.beta / 2.0)).sum())
+def _power(rng, d2, ch):
+    """Received power of interferers at squared distances ``d2``, one fading draw each."""
+    return rng.exponential(ch.P_gamma, d2.size) * ch.P_t_m / d2 ** (ch.beta / 2.0)
 
 
 def run_crossing(plan: ExperimentPlan, cfg: NetworkConfig, r_disk: float | None = None) -> CrossingRun:
@@ -150,7 +152,7 @@ def run_crossing(plan: ExperimentPlan, cfg: NetworkConfig, r_disk: float | None 
     start (uniform inside the disk for p_out, uniform outside for p_in),
     one flight, and checks membership at the flight end.
     """
-    r = cfg.R if r_disk is None else float(r_disk)
+    r = _radius(cfg, r_disk)
     n = plan.steps_per_replication
     outs, ins = [], []
     for rng in _substreams(plan.seed, plan.replications):
@@ -173,7 +175,7 @@ def run_occupancy(
     Mean/variance use every post-warmup step; the histogram keeps every
     ``thin``-th step so chi-square consumers can decorrelate it.
     """
-    r = cfg.R if r_disk is None else float(r_disk)
+    r = _radius(cfg, r_disk)
     post = plan.steps_per_replication - plan.warmup_steps
     means, variances = [], []
     histogram = np.zeros(cfg.N + 1, dtype=np.int64)
@@ -199,12 +201,48 @@ def _stationary_interference(rng, n, count_n, count_p, lo, hi, ch):
     if count_n == 0 or count_p <= 0.0:
         return np.zeros(n)
     xi = rng.binomial(count_n, count_p, n)
-    total = int(xi.sum())
-    d = _uniform_annulus(rng, total, lo, hi)
-    g = rng.exponential(ch.P_gamma, total)
-    contrib = g * ch.P_t_m / d**ch.beta
+    d2 = _uniform_annulus(rng, int(xi.sum()), lo, hi)
     owner = np.repeat(np.arange(n), xi)
-    return np.bincount(owner, weights=contrib, minlength=n)
+    return np.bincount(owner, weights=_power(rng, d2, ch), minlength=n)
+
+
+def _interference(rng, plan, cfg, ch, mode, cells, eta):
+    """Total-interference samples of one replication for each cell type in
+    ``cells``, and the number of floor redraws.
+
+    Each array holds one sample per sampled step.  Closed-cell interferers
+    live in the R_I disk with the 1 m distance floor, open-cell ones in the
+    ring [R, R_I].  Stationary samples draw each cell type's interferers
+    from its support, eta weighing the count; live samples score every cell
+    type on one mobile population per step, redrawing users closer than
+    1 m from the analytic support [1, R_I] and counting them.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    n = plan.steps_per_replication - plan.warmup_steps
+    if mode == "stationary":
+        q = _ring_weight(cfg)
+        supports = {CellType.CSG: (eta, 1.0), CellType.OSG: (eta * q, cfg.R)}
+        return [
+            _stationary_interference(rng, n, cfg.N, *supports[cell], cfg.R_I, ch)
+            for cell in cells
+        ], 0
+    samples = [np.empty(n) for _ in cells]
+    redrawn = 0
+    for step, (_, _, r2) in enumerate(_live_steps(rng, plan, cfg)):
+        inside = r2 < cfg.R_I**2
+        for cell, out in zip(cells, samples):
+            if cell is CellType.OSG:
+                d2 = r2[inside & (r2 >= cfg.R**2)]
+            else:
+                d2 = r2[inside]
+                near = d2 < 1.0
+                k = int(near.sum())
+                if k:
+                    d2[near] = _uniform_annulus(rng, k, 1.0, cfg.R_I)
+                    redrawn += k
+            out[step] = _power(rng, d2, ch).sum()
+    return samples, redrawn
 
 
 def run_interference(
@@ -215,44 +253,18 @@ def run_interference(
     p_in: float | None = None,
     p_out: float | None = None,
 ) -> InterferenceRun:
-    """Empirical mean/variance of the total interference, both cell types.
-
-    Closed-cell interferers live in the full R_I disk with the 1 m
-    distance floor (closer live users are resampled onto the analytic
-    support and counted); open-cell interferers live in the ring.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    """Empirical mean/variance of the total interference, both cell types."""
+    eta = _eta(cfg, p_in, p_out)
     n = plan.steps_per_replication - plan.warmup_steps
-    q = 1.0 - cfg.R**2 / cfg.R_I**2
-    c_means, c_vars, o_means, o_vars = [], [], [], []
+    stats = []
     resampled = 0
-    if mode == "stationary":
-        eta = _eta(cfg, p_in, p_out)
     for rng in _substreams(plan.seed, plan.replications):
-        if mode == "stationary":
-            ic = _stationary_interference(rng, n, cfg.N, eta, 1.0, cfg.R_I, ch)
-            io = _stationary_interference(rng, n, cfg.N, eta * q, cfg.R, cfg.R_I, ch)
-        else:
-            ic = np.empty(n)
-            io = np.empty(n)
-            for step, (_, _, r2) in enumerate(_live_steps(rng, plan, cfg)):
-                d2_c = r2[r2 < cfg.R_I**2]
-                resampled += _floor_resample(rng, d2_c, cfg.R_I)
-                ic[step] = _interference_sum(rng, d2_c, ch)
-                io[step] = _interference_sum(rng, r2[(r2 >= cfg.R**2) & (r2 < cfg.R_I**2)], ch)
-        c_means.append(ic.mean())
-        c_vars.append(ic.var(ddof=1))
-        o_means.append(io.mean())
-        o_vars.append(io.var(ddof=1))
-
-    return InterferenceRun(
-        csg_mean=_pool(c_means, n),
-        csg_variance=_pool(c_vars, n),
-        osg_mean=_pool(o_means, n),
-        osg_variance=_pool(o_vars, n),
-        resampled=resampled,
-    )
+        (ic, io), redrawn = _interference(
+            rng, plan, cfg, ch, mode, (CellType.CSG, CellType.OSG), eta)
+        stats.append((ic.mean(), ic.var(ddof=1), io.mean(), io.var(ddof=1)))
+        resampled += redrawn
+    c_mean, c_var, o_mean, o_var = (_pool(column, n) for column in zip(*stats))
+    return InterferenceRun(c_mean, c_var, o_mean, o_var, resampled)
 
 
 def run_sinr(
@@ -272,49 +284,26 @@ def run_sinr(
     (common random numbers), so every pair equals its single-query run bit
     for bit.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     single = isinstance(query, PerformanceQuery)
     queries = [query] if single else list(query)
     if not queries:
         raise ValueError("run_sinr needs at least one query")
     if len({target.cell_type for target in queries}) > 1:
         raise ValueError("queries of one run_sinr call must share one cell type")
+    eta = _eta(cfg, p_in, p_out)
     n = plan.steps_per_replication - plan.warmup_steps
-    q = 1.0 - cfg.R**2 / cfg.R_I**2
     attns = [(target.kappa * cfg.R) ** ch.beta for target in queries]
-    open_cell = queries[0].cell_type is CellType.OSG
 
     successes = [[] for _ in queries]
     rates = [[] for _ in queries]
-    if mode == "stationary":
-        eta = _eta(cfg, p_in, p_out)
-        count_p, lo = (eta * q, cfg.R) if open_cell else (eta, 1.0)
     for rng in _substreams(plan.seed, plan.replications):
-        if mode == "stationary":
-            interference = _stationary_interference(rng, n, cfg.N, count_p, lo, cfg.R_I, ch)
-            gain = rng.exponential(ch.P_gamma, n)
-        else:
-            interference = np.empty(n)
-            gain = np.empty(n)
-            for step, (_, _, r2) in enumerate(_live_steps(rng, plan, cfg)):
-                if open_cell:
-                    d2 = r2[(r2 >= cfg.R**2) & (r2 < cfg.R_I**2)]
-                else:
-                    d2 = r2[r2 < cfg.R_I**2]
-                    _floor_resample(rng, d2, cfg.R_I)
-                interference[step] = _interference_sum(rng, d2, ch)
-                gain[step] = rng.exponential(ch.P_gamma)
-        signal = gain * ch.P_t_h
+        (interference,), _ = _interference(
+            rng, plan, cfg, ch, mode, (queries[0].cell_type,), eta)
+        signal = rng.exponential(ch.P_gamma, n) * ch.P_t_h
         disturbance = interference + ch.noise_power
         for target, attn, succ, rate in zip(queries, attns, successes, rates):
             sinr = signal / attn / disturbance
-            if mode == "stationary":
-                ln_rates = np.log1p(sinr)
-            else:
-                # scalar log1p: numpy's vector loop may round the last bit differently
-                ln_rates = np.fromiter(map(math.log1p, sinr.tolist()), float, n)
             succ.append(float(np.mean(sinr >= target.threshold)))
-            rate.append(float(ch.W * ln_rates.mean()))
+            rate.append(float(ch.W * np.log1p(sinr).mean()))
     pairs = [(_pool(s, n), _pool(r, n)) for s, r in zip(successes, rates)]
     return pairs[0] if single else pairs

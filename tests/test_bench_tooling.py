@@ -6,22 +6,31 @@ keeps only for it (``crossing_probabilities`` in ``interference`` and
 the crossing pair positionally.  This test imports both modules, read-only,
 so that renaming one of those names or changing one of those signatures
 fails here rather than in ``bench/run.py --trace 1`` or ``bench/selftest.py``.
+The tracer also wraps the Monte Carlo helpers ``_stationary_interference``
+and ``_uniform_annulus`` only if they are there, so a renamed helper would
+silently zero the draw counts; the second test pins those hooks.
 """
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hetnet_uplink import interference, performance
+from hetnet_uplink import interference, montecarlo, performance
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_bench_tracer_wraps_and_workloads_call_the_library(monkeypatch):
+def _import_bench(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)     # leave bench/ as it is
     import tracing
     import workloads
+    return tracing, workloads
+
+
+def test_bench_tracer_wraps_and_workloads_call_the_library(monkeypatch):
+    tracing, workloads = _import_bench(monkeypatch)
 
     cfg, ch = workloads.DESK, workloads.CHANNEL
     p_in, p_out = workloads._exact_probs(cfg)
@@ -45,3 +54,38 @@ def test_bench_tracer_wraps_and_workloads_call_the_library(monkeypatch):
     assert res.success_probability == pytest.approx(want.success_probability, rel=1e-14)
     assert res.average_rate == pytest.approx(want.average_rate, rel=1e-12)
     assert (mean, var) == pytest.approx(interference.total_moments(cfg, ch), rel=1e-14)
+
+
+def test_bench_tracer_sees_the_monte_carlo_draws(monkeypatch, channel):
+    from test_montecarlo import FROZEN_CFG, FROZEN_PLAN
+
+    tracing, workloads = _import_bench(monkeypatch)
+    plain = (montecarlo._stationary_interference, montecarlo._uniform_annulus)
+    plan = montecarlo.ExperimentPlan("success", **FROZEN_PLAN)
+    q = performance.PerformanceQuery(kappa=0.9, threshold=4e-4)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert montecarlo._stationary_interference.__wrapped__ is plain[0]
+        assert montecarlo._uniform_annulus.__wrapped__ is plain[1]
+        with tracer.span(tracing.SETUP):
+            montecarlo.run_sinr(plan, workloads.DESK, channel, q)
+            live = montecarlo.run_interference(plan, FROZEN_CFG, channel, "live")
+    finally:
+        tracer.restore()
+    assert (montecarlo._stationary_interference, montecarlo._uniform_annulus) == plain
+
+    spans = tracer.arrays()
+    names = spans["names"][spans["name"]]
+    parents = np.where(spans["parent"] >= 0, names[spans["parent"]], "")
+    annulus = names == "montecarlo.uniform_annulus"
+    # one draw of every interferer position per stationary sample set
+    assert (parents[annulus] == "montecarlo.stationary_interference").sum() == plan.replications
+    # live floor redraws (inner radius 1 m) sit directly under the run span
+    floor = [i for i in np.flatnonzero(annulus) if tracer.notes[int(i)] == 1.0
+             and parents[i] == "montecarlo.run_interference"]
+    assert live.resampled > 0
+    assert spans["work"][floor].sum() == live.resampled
+    metrics = tracing.layer_metrics(tracer, {})
+    assert metrics["montecarlo.resampled"] == live.resampled
+    assert metrics["montecarlo.interferer_draws"] > 0

@@ -117,6 +117,16 @@ def test_occupancy_means_invariant_across_steps(desk_cfg):
             assert gap <= 3.0 * math.hypot(a.mean.std_error, b.mean.std_error)
 
 
+def test_crossing_and_occupancy_reject_disks_outside_the_macro_cell(desk_cfg):
+    plan = _plan(scenario="occupancy", replications=2, steps_per_replication=20,
+                 warmup_steps=0)
+    for r_disk in (-5.0, 0.0, desk_cfg.L, 2.0 * desk_cfg.L):
+        with pytest.raises(ValueError):
+            run_crossing(plan, desk_cfg, r_disk)
+        with pytest.raises(ValueError):
+            run_occupancy(plan, desk_cfg, r_disk)
+
+
 def test_occupancy_trace_hook_sees_every_step(desk_cfg):
     seen = []
     plan = _plan(scenario="occupancy", replications=1, steps_per_replication=60,
@@ -217,7 +227,11 @@ def test_bit_identical_reruns(desk_cfg, channel):
 # arithmetic or to the order of RNG draws shows.  The 50 m macro disk makes
 # the 1 m distance-floor resampling fire in live runs.  The live values also
 # pin the rounding of the flight stepper: its re-entry map is expanding, so
-# any change to the arithmetic of ``advance`` moves them.
+# any change to the arithmetic of ``advance`` moves them.  Re-recorded when
+# one sampler began to serve both modes in squared distance: the stationary
+# values moved in their last bits with the d**2 law, and the live ones were
+# re-drawn because warm-up steps no longer fly and the serving-link fading
+# is drawn after the samples.
 FROZEN_CFG = NetworkConfig(N=300, L=50.0, R=6.0, R_I=12.0, delta=5.0)
 FROZEN_PLAN = dict(replications=2, steps_per_replication=30, warmup_steps=5, seed=11)
 FROZEN_THRESHOLD = 4e-4
@@ -235,41 +249,41 @@ def test_outputs_frozen_bit_for_bit(channel):
     assert _hex(crossing.p_out) == ("0x1.b333333333334p-1", "0x1.9999999999998p-5", 60)
 
     occ = run_occupancy(plan, cfg)
-    assert _hex(occ.mean) == ("0x1.1ae147ae147aep+2", "0x1.47ae147ae1480p-6", 50)
-    assert _hex(occ.variance) == ("0x1.a06d3a06d3a08p+1", "0x1.ae147ae147ae4p-2", 50)
+    assert _hex(occ.mean) == ("0x1.2a3d70a3d70a4p+2", "0x1.1eb851eb851efp-3", 50)
+    assert _hex(occ.variance) == ("0x1.85f92c5f92c60p+1", "0x1.17e4b17e4b180p-1", 50)
     assert {k: int(v) for k, v in enumerate(occ.histogram) if v} == {
-        1: 3, 2: 5, 3: 5, 4: 13, 5: 12, 6: 6, 7: 4, 8: 1, 9: 1,
+        1: 2, 2: 5, 3: 4, 4: 10, 5: 14, 6: 9, 7: 4, 8: 1, 9: 1,
     }
 
     expected = {
         "live": {
             "interference": (
-                ("0x1.0e180061c6117p-4", "0x1.4bf557451ecffp-11", 50),
-                ("0x1.67c76c5da3b52p-10", "0x1.50a690a19c834p-13", 50),
-                ("0x1.1a44dabfd0ab0p-6", "0x1.74a8889347fa0p-10", 50),
-                ("0x1.a92fe94505a94p-15", "0x1.6c2ac436b4512p-17", 50),
-                4,
+                ("0x1.c35974d5b0ddcp-5", "0x1.17eb8e74e95e0p-11", 50),
+                ("0x1.06cb9645bac5ap-9", "0x1.dc8cb774a7f6dp-11", 50),
+                ("0x1.2ced3ef387358p-6", "0x1.19a7c5575ae80p-9", 50),
+                ("0x1.131be63a2c7f4p-14", "0x1.66d2a6864733ep-16", 50),
+                3,
             ),
             CellType.CSG: (
-                ("0x1.5c28f5c28f5c2p-2", "0x1.47ae147ae1478p-6", 50),
-                ("0x1.04e91ec1ef549p+11", "0x1.5b535ec2ba6a0p+7", 50),
+                ("0x1.eb851eb851eb9p-3", "0x1.47ae147ae147cp-5", 50),
+                ("0x1.725f8dd58cd22p+10", "0x1.10632985e3528p+7", 50),
             ),
             CellType.OSG: (
-                ("0x1.47ae147ae147bp-1", "0x1.47ae147ae1480p-5", 50),
-                ("0x1.68e3c3c2102d7p+12", "0x1.0ec5c76182580p+9", 50),
+                ("0x1.51eb851eb851fp-1", "0x1.c28f5c28f5c29p-3", 50),
+                ("0x1.f155f27a401c9p+12", "0x1.bdc4cca56c7eep+11", 50),
             ),
         },
         "stationary": {
             "interference": (
                 ("0x1.3a9b4ae732dacp-3", "0x1.57d7cf84261d0p-8", 50),
-                ("0x1.2ea533ad77160p-8", "0x1.17e4b3cad814dp-10", 50),
+                ("0x1.2ea533ad77160p-8", "0x1.17e4b3cad814ep-10", 50),
                 ("0x1.62098b3b5cecbp-5", "0x1.8d10f9245a5e0p-9", 50),
-                ("0x1.445bf1f2c5211p-13", "0x1.766e75b475600p-17", 50),
+                ("0x1.445bf1f2c5212p-13", "0x1.766e75b4755f7p-17", 50),
                 0,
             ),
             CellType.CSG: (
                 ("0x1.47ae147ae147bp-4", "0x0.0p+0", 50),
-                ("0x1.5a172efd7c9c0p+9", "0x1.2934a3e4ef398p+5", 50),
+                ("0x1.5a172efd7c9c0p+9", "0x1.2934a3e4ef38fp+5", 50),
             ),
             CellType.OSG: (
                 ("0x1.3333333333333p-2", "0x1.eb851eb851eb8p-5", 50),
@@ -289,6 +303,22 @@ def test_outputs_frozen_bit_for_bit(channel):
             q = PerformanceQuery(kappa=0.9, threshold=FROZEN_THRESHOLD, cell_type=cell)
             success, rate = run_sinr(plan, cfg, channel, q, mode, **kw)
             assert (_hex(success), _hex(rate)) == want[cell], (mode, cell)
+
+
+def test_live_warmup_steps_fly_no_flights(channel):
+    # the population starts in its stationary law, so warm-up steps only
+    # shorten the run: (steps s, warm-up w) equals (s - w, 0) bit for bit
+    warm = _plan(scenario="interference", **FROZEN_PLAN)
+    cold = replace(warm, steps_per_replication=warm.steps_per_replication - warm.warmup_steps,
+                   warmup_steps=0)
+    occ_warm, occ_cold = run_occupancy(warm, FROZEN_CFG), run_occupancy(cold, FROZEN_CFG)
+    assert (occ_warm.mean, occ_warm.variance) == (occ_cold.mean, occ_cold.variance)
+    assert np.array_equal(occ_warm.histogram, occ_cold.histogram)
+    assert run_interference(warm, FROZEN_CFG, channel, "live") == \
+        run_interference(cold, FROZEN_CFG, channel, "live")
+    q = PerformanceQuery(kappa=0.9, threshold=FROZEN_THRESHOLD)
+    assert run_sinr(warm, FROZEN_CFG, channel, q, "live") == \
+        run_sinr(cold, FROZEN_CFG, channel, q, "live")
 
 
 @pytest.mark.parametrize("mode", ["stationary", "live"])
