@@ -232,24 +232,25 @@ def _interference_rows(scenario, manifest, cfg, ch, analytic, plan):
 
 
 def _sinr_metrics(manifest, ch, analytic, plan):
-    """Evaluator of the SINR metrics over a set of kappa.
+    """Evaluator of the SINR metrics over a set of (kappa, cell type) points.
 
-    ``metrics(c, kappas, names)`` gives, for each kappa in ``kappas``, a map
-    from each name in ``names`` ("success", "rate") to (analytic value, MC
-    value, MC SE) for a home user at that kappa in a cell of
-    ``c.cell_type``; None where an engine is off, rates in
-    ``--rate-units``.  All kappa of one call are scored by one ``run_sinr``
-    call on one set of draws (common random numbers): a kappa sweep samples
-    the interference once, and a live one steps the population once.  The
-    analytic engine and stationary Monte Carlo weigh the interferer count by
-    R_I**2/L**2, so no crossing point is computed.
+    ``metrics(c, points, names)`` gives, for each (kappa, cell type) in
+    ``points``, a map from each name in ``names`` ("success", "rate") to
+    (analytic value, MC value, MC SE) for a home user at that kappa in a
+    cell of that type; None where an engine is off, rates in
+    ``--rate-units``.  All points of one call are scored by one ``run_sinr``
+    call on one set of snapshots (common random numbers): a kappa sweep, or
+    both cell types at one user count, samples the interference once, and a
+    live one steps the population once.  The analytic engine and stationary
+    Monte Carlo weigh the interferer count by R_I**2/L**2, so no crossing
+    point is computed.
     """
     threshold = db_to_linear(manifest.threshold_db)
     scale = {"success": 1.0, "rate": 1.0 if manifest.rate_units == "nats" else 1.0 / LN2}
 
-    def metrics(c, kappas, names):
-        queries = [PerformanceQuery(kappa=k, threshold=threshold, cell_type=c.cell_type)
-                   for k in kappas]
+    def metrics(c, points, names):
+        queries = [PerformanceQuery(kappa=k, threshold=threshold, cell_type=cell)
+                   for k, cell in points]
 
         def analytic_values(query):
             if not analytic:
@@ -277,17 +278,18 @@ def _metric_rows(scenario, manifest, cfg, ch, analytic, plan):
     evaluated in one ``metrics`` call."""
     axis, grid = manifest.sweep
     metrics = _sinr_metrics(manifest, ch, analytic, plan)
+    cell = cfg.cell_type
     if axis == "delta":
-        results = [metrics(replace(cfg, delta=float(value)), (manifest.kappa,), (scenario,))[0]
-                   for value in grid]
+        results = [metrics(replace(cfg, delta=float(v)), [(manifest.kappa, cell)], (scenario,))[0]
+                   for v in grid]
     else:
-        results = metrics(cfg, [float(value) for value in grid], (scenario,))
+        results = metrics(cfg, [(float(v), cell) for v in grid], (scenario,))
     rows, checks = [], []
     for value, m in zip(grid, results):
         a, mc, se = m[scenario]
         rows.append({
             axis: value,
-            "cell_type": cfg.cell_type.value,
+            "cell_type": cell.value,
             f"{scenario}_analytic": a,
             f"{scenario}_mc": mc,
             f"{scenario}_se": se,
@@ -302,10 +304,11 @@ def _density_rows(scenario, manifest, cfg, ch, analytic, plan):
     metrics = _sinr_metrics(manifest, ch, analytic, plan)
     rows, checks = [], []
     series: dict = {}
+    cells = (CellType.CSG, CellType.OSG)
     for n in manifest.sweep[1]:
-        for cell in (CellType.CSG, CellType.OSG):
-            c = replace(cfg, N=int(n), cell_type=cell)
-            m = metrics(c, (manifest.kappa,), ("success", "rate"))[0]
+        both = metrics(replace(cfg, N=int(n)), [(manifest.kappa, cell) for cell in cells],
+                       ("success", "rate"))
+        for cell, m in zip(cells, both):
             row = {"n_users": int(n), "cell_type": cell.value}
             row.update({f"{name}_analytic": a for name, (a, _, _) in m.items()})
             for name, (a, value, se) in m.items():

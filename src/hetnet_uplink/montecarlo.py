@@ -6,16 +6,15 @@ replications are scheduled.  Standard errors always come from the spread
 of replication means; per-step samples are autocorrelated and never feed
 a standard error directly.
 
-Interference and SINR runs exist in two modes, and one sampler,
-``_interference``, serves both.  ``stationary`` draws the interferer count
-from the binomial stationary law (weight R_I**2/L**2, or the ratio of a
-crossing pair passed in) and positions from the analytic support
-densities, mirroring the independence assumptions of the closed forms;
-``live`` measures the same quantities on a mobile population, which
-additionally captures whatever those assumptions miss.  Both work in
-squared distance: a point uniform on an annulus has d**2 uniform on
-[r_lo**2, r_hi**2], and an interferer at d**2 with fading gain g
-contributes g * P_t_m / (d**2)**(beta/2).
+Interference and SINR samples score snapshots of the users in the
+interfering disk, one scorer for both cell types: an open cell hears the
+ring users (R <= d < R_I), a closed cell the ring and the inner users
+(d < R).  ``stationary`` mode draws each snapshot from the binomial
+stationary law (weight R_I**2/L**2, or the ratio of a crossing pair passed
+in) with uniform positions, mirroring the independence assumptions of the
+closed forms; ``live`` mode takes it from a mobile population, which also
+captures whatever those assumptions miss.  Distances stay squared: a point
+uniform on an annulus has d**2 uniform on [r_lo**2, r_hi**2].
 
 Of the ``steps_per_replication`` steps of a plan, the first
 ``warmup_steps`` give no sample.  A live population starts uniform on the
@@ -25,6 +24,7 @@ equals the run with (s - w, 0) bit for bit.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -40,6 +40,7 @@ from .performance import PerformanceQuery
 
 SCENARIOS = ("crossing", "occupancy", "interference", "success", "rate", "density_sweep")
 MODES = ("stationary", "live")
+BLOCK_DRAWS = 2**22     # users drawn per block of snapshots: bounds the memory of a run
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def _uniform_annulus(rng, n, r_lo, r_hi):
     """Squared radii of n points uniform on the annulus r_lo <= r <= r_hi.
 
     ``bench/tracing.py`` wraps this name and reads its positional n (the
-    draw count) and r_lo (nonzero for a floor redraw in a live run)."""
+    draw count) and r_lo (nonzero marks a floor redraw only under a live run)."""
     return r_lo**2 + rng.random(n) * (r_hi**2 - r_lo**2)
 
 
@@ -130,19 +131,13 @@ def _live_steps(rng, plan: ExperimentPlan, cfg: NetworkConfig):
 
     The population starts uniform on the macro disk, the stationary law of
     the flights, and (x, y, x**2 + y**2) is yielded after each of the
-    ``steps_per_replication - warmup_steps`` flights.  Consumers may draw
-    from ``rng`` between steps: the next flight is drawn only when the
-    next step is requested.
+    ``steps_per_replication - warmup_steps`` flights, each drawn from
+    ``rng`` only when its step is requested.
     """
     x, y = _uniform_positions(rng, cfg.N, 0.0, cfg.L)
     for _ in range(plan.steps_per_replication - plan.warmup_steps):
         x, y = _fly(rng, x, y, cfg)
         yield x, y, x * x + y * y
-
-
-def _power(rng, d2, ch):
-    """Received power of interferers at squared distances ``d2``, one fading draw each."""
-    return rng.exponential(ch.P_gamma, d2.size) * ch.P_t_m / d2 ** (ch.beta / 2.0)
 
 
 def run_crossing(plan: ExperimentPlan, cfg: NetworkConfig, r_disk: float | None = None) -> CrossingRun:
@@ -195,54 +190,62 @@ def run_occupancy(
     )
 
 
-def _stationary_interference(rng, n, count_n, count_p, lo, hi, ch):
-    """n total-interference samples: counts are Binomial(count_n, count_p),
-    distances follow the 2x/(hi**2-lo**2) support density on [lo, hi]."""
-    if count_n == 0 or count_p <= 0.0:
-        return np.zeros(n)
-    xi = rng.binomial(count_n, count_p, n)
-    d2 = _uniform_annulus(rng, int(xi.sum()), lo, hi)
-    owner = np.repeat(np.arange(n), xi)
-    return np.bincount(owner, weights=_power(rng, d2, ch), minlength=n)
+def _stationary_interference(rng, n, cfg, eta):
+    """n snapshots of the interfering disk under the stationary law: a user
+    is in the ring with probability eta*q and inner with eta*(1 - q), so the
+    ring count is Binomial(N, eta*q) and, given it, the inner count is
+    Binomial(N - ring, eta*(1 - q)/(1 - eta*q)).  Ring d**2 is uniform on
+    [R**2, R_I**2], inner d**2 on [0, R**2]."""
+    q = _ring_weight(cfg)
+    k_ring = rng.binomial(cfg.N, eta * q, n)
+    k_inner = rng.binomial(cfg.N - k_ring, eta * (1.0 - q) / (1.0 - eta * q))
+    return (_uniform_annulus(rng, int(k_ring.sum()), cfg.R, cfg.R_I),
+            _uniform_annulus(rng, int(k_inner.sum()), 0.0, cfg.R), k_ring, k_inner)
 
 
-def _interference(rng, plan, cfg, ch, mode, cells, eta):
-    """Total-interference samples of one replication for each cell type in
-    ``cells``, and the number of floor redraws.
+def _live_snapshots(rng, plan, cfg, size):
+    """Snapshots of a mobile population, one per sampled step, in blocks of
+    up to ``size`` as ``_stationary_interference`` returns them."""
+    steps = ((r2[(r2 >= cfg.R**2) & (r2 < cfg.R_I**2)], r2[r2 < cfg.R**2])
+             for _, _, r2 in _live_steps(rng, plan, cfg))
+    while block := list(itertools.islice(steps, size)):
+        ring, inner = zip(*block)
+        yield (np.concatenate(ring), np.concatenate(inner),
+               np.array([a.size for a in ring]), np.array([a.size for a in inner]))
 
-    Each array holds one sample per sampled step.  Closed-cell interferers
-    live in the R_I disk with the 1 m distance floor, open-cell ones in the
-    ring [R, R_I].  Stationary samples draw each cell type's interferers
-    from its support, eta weighing the count; live samples score every cell
-    type on one mobile population per step, redrawing users closer than
-    1 m from the analytic support [1, R_I] and counting them.
+
+def _power_sums(rng, d2, counts, ch):
+    """Received power per snapshot of the interferers at squared distances
+    ``d2``, ``counts[i]`` of them in snapshot i, one fading draw each."""
+    power = rng.exponential(ch.P_gamma, d2.size) * ch.P_t_m / d2 ** (ch.beta / 2.0)
+    owner = np.repeat(np.arange(counts.size), counts)
+    return np.bincount(owner, weights=power, minlength=counts.size)
+
+
+def _interference(rng, plan, cfg, ch, mode, eta):
+    """Total-interference samples of one replication for each cell type,
+    one per sampled step, and the number of floor redraws.  Inner users
+    closer than 1 m are redrawn on [1, R_I]; each user gets one fading
+    draw, shared by both cell types.  Blocks hold about ``BLOCK_DRAWS`` users.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     n = plan.steps_per_replication - plan.warmup_steps
+    size = max(1, int(BLOCK_DRAWS / max(cfg.N * eta, 1.0)))
     if mode == "stationary":
-        q = _ring_weight(cfg)
-        supports = {CellType.CSG: (eta, 1.0), CellType.OSG: (eta * q, cfg.R)}
-        return [
-            _stationary_interference(rng, n, cfg.N, *supports[cell], cfg.R_I, ch)
-            for cell in cells
-        ], 0
-    samples = [np.empty(n) for _ in cells]
-    redrawn = 0
-    for step, (_, _, r2) in enumerate(_live_steps(rng, plan, cfg)):
-        inside = r2 < cfg.R_I**2
-        for cell, out in zip(cells, samples):
-            if cell is CellType.OSG:
-                d2 = r2[inside & (r2 >= cfg.R**2)]
-            else:
-                d2 = r2[inside]
-                near = d2 < 1.0
-                k = int(near.sum())
-                if k:
-                    d2[near] = _uniform_annulus(rng, k, 1.0, cfg.R_I)
-                    redrawn += k
-            out[step] = _power(rng, d2, ch).sum()
-    return samples, redrawn
+        blocks = (_stationary_interference(rng, min(size, n - start), cfg, eta)
+                  for start in range(0, n, size))
+    else:
+        blocks = _live_snapshots(rng, plan, cfg, size)
+    ring_sums, inner_sums, redrawn = [], [], 0
+    for ring, inner, k_ring, k_inner in blocks:
+        near = np.flatnonzero(inner < 1.0)
+        inner[near] = _uniform_annulus(rng, near.size, 1.0, cfg.R_I)
+        redrawn += near.size
+        ring_sums.append(_power_sums(rng, ring, k_ring, ch))
+        inner_sums.append(_power_sums(rng, inner, k_inner, ch))
+    osg = np.concatenate(ring_sums)
+    return {CellType.OSG: osg, CellType.CSG: osg + np.concatenate(inner_sums)}, redrawn
 
 
 def run_interference(
@@ -256,11 +259,10 @@ def run_interference(
     """Empirical mean/variance of the total interference, both cell types."""
     eta = _eta(cfg, p_in, p_out)
     n = plan.steps_per_replication - plan.warmup_steps
-    stats = []
-    resampled = 0
+    stats, resampled = [], 0
     for rng in _substreams(plan.seed, plan.replications):
-        (ic, io), redrawn = _interference(
-            rng, plan, cfg, ch, mode, (CellType.CSG, CellType.OSG), eta)
+        totals, redrawn = _interference(rng, plan, cfg, ch, mode, eta)
+        ic, io = totals[CellType.CSG], totals[CellType.OSG]
         stats.append((ic.mean(), ic.var(ddof=1), io.mean(), io.var(ddof=1)))
         resampled += redrawn
     c_mean, c_var, o_mean, o_var = (_pool(column, n) for column in zip(*stats))
@@ -278,31 +280,26 @@ def run_sinr(
 ) -> tuple[EstimateWithError, EstimateWithError] | list[tuple[EstimateWithError, EstimateWithError]]:
     """Empirical success probability and average rate [nats/s] at kappa.
 
-    One query gives one (success, rate) pair.  A sequence of queries of one
-    cell type gives one pair per query, all scored on the same draws: the
-    interference and serving-link fading of each replication are drawn once
-    (common random numbers), so every pair equals its single-query run bit
-    for bit.
+    One query gives one (success, rate) pair.  A sequence of queries, of
+    either cell type, gives one pair per query, all scored on the same
+    draws: the snapshots and serving-link fading of each replication are
+    drawn once (common random numbers), so every pair equals its
+    single-query run bit for bit.
     """
     single = isinstance(query, PerformanceQuery)
     queries = [query] if single else list(query)
     if not queries:
         raise ValueError("run_sinr needs at least one query")
-    if len({target.cell_type for target in queries}) > 1:
-        raise ValueError("queries of one run_sinr call must share one cell type")
     eta = _eta(cfg, p_in, p_out)
     n = plan.steps_per_replication - plan.warmup_steps
     attns = [(target.kappa * cfg.R) ** ch.beta for target in queries]
 
-    successes = [[] for _ in queries]
-    rates = [[] for _ in queries]
+    successes, rates = [[] for _ in queries], [[] for _ in queries]
     for rng in _substreams(plan.seed, plan.replications):
-        (interference,), _ = _interference(
-            rng, plan, cfg, ch, mode, (queries[0].cell_type,), eta)
+        totals, _ = _interference(rng, plan, cfg, ch, mode, eta)
         signal = rng.exponential(ch.P_gamma, n) * ch.P_t_h
-        disturbance = interference + ch.noise_power
         for target, attn, succ, rate in zip(queries, attns, successes, rates):
-            sinr = signal / attn / disturbance
+            sinr = signal / attn / (totals[target.cell_type] + ch.noise_power)
             succ.append(float(np.mean(sinr >= target.threshold)))
             rate.append(float(ch.W * np.log1p(sinr).mean()))
     pairs = [(_pool(s, n), _pool(r, n)) for s, r in zip(successes, rates)]

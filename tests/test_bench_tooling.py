@@ -79,8 +79,10 @@ def test_bench_tracer_sees_the_monte_carlo_draws(monkeypatch, channel):
     names = spans["names"][spans["name"]]
     parents = np.where(spans["parent"] >= 0, names[spans["parent"]], "")
     annulus = names == "montecarlo.uniform_annulus"
-    # one draw of every interferer position per stationary sample set
-    assert (parents[annulus] == "montecarlo.stationary_interference").sum() == plan.replications
+    # two draws of interferer positions, ring and inner, per block of
+    # stationary snapshots; one block per replication at this size
+    assert (parents[annulus] == "montecarlo.stationary_interference").sum() == \
+        2 * plan.replications
     # live floor redraws (inner radius 1 m) sit directly under the run span
     floor = [i for i in np.flatnonzero(annulus) if tracer.notes[int(i)] == 1.0
              and parents[i] == "montecarlo.run_interference"]

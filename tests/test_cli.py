@@ -233,19 +233,29 @@ def test_live_mc_metrics_skip_crossing_quadrature(tmp_path, config_file, monkeyp
     assert len(rows) == 6 and len({row["success_analytic"] for row in rows}) == 1
 
 
-@pytest.mark.parametrize("mode, sampler, calls", [
-    ("live", "advance", 2 * 10),                        # replications x steps
-    ("stationary", "_stationary_interference", 2),      # replications
+KAPPA_SWEEP = ["--scenario", "success", "--sweep", "kappa=0.5,0.9"]
+
+
+@pytest.mark.parametrize("mode, sampler, calls, sweep", [
+    pytest.param("live", "advance", 2 * 10, KAPPA_SWEEP,       # replications x steps
+                 id="live-advance-20"),
+    pytest.param("stationary", "_stationary_interference", 2, KAPPA_SWEEP,   # replications
+                 id="stationary-_stationary_interference-2"),
+    # replications x user counts: both cell types of one count share its snapshots
+    pytest.param("stationary", "_stationary_interference", 2 * 2,
+                 ["--scenario", "density_sweep", "--sweep", "n=500,1000"],
+                 id="density-stationary-_stationary_interference-4"),
 ])
-def test_kappa_sweep_samples_once(tmp_path, config_file, monkeypatch, mode, sampler, calls):
+def test_kappa_sweep_samples_once(tmp_path, config_file, monkeypatch, mode, sampler, calls,
+                                  sweep):
     from hetnet_uplink import montecarlo
 
     counted = []
     draw = getattr(montecarlo, sampler)
     monkeypatch.setattr(montecarlo, sampler,
                         lambda *args, **kwargs: counted.append(1) or draw(*args, **kwargs))
-    status = main(["--scenario", "success", "--engine", "mc", "--mode", mode,
-                   "--sweep", "kappa=0.5,0.9", "--replications", "2", "--steps", "10",
+    status = main([*sweep, "--engine", "mc", "--mode", mode,
+                   "--replications", "2", "--steps", "10",
                    "--warmup", "0", "--config", str(config_file), "--out", str(tmp_path)])
     assert status == 0
     assert len(counted) == calls

@@ -10,6 +10,7 @@ from hetnet_uplink import (
     ExperimentPlan,
     NetworkConfig,
     PerformanceQuery,
+    montecarlo,
     run_crossing,
     run_interference,
     run_occupancy,
@@ -231,7 +232,10 @@ def test_bit_identical_reruns(desk_cfg, channel):
 # one sampler began to serve both modes in squared distance: the stationary
 # values moved in their last bits with the d**2 law, and the live ones were
 # re-drawn because warm-up steps no longer fly and the serving-link fading
-# is drawn after the samples.
+# is drawn after the samples.  The interference and SINR values of both
+# modes were re-drawn again when both cell types began to score one
+# snapshot of ring and inner users; stationary runs now count their floor
+# redraws too.
 FROZEN_CFG = NetworkConfig(N=300, L=50.0, R=6.0, R_I=12.0, delta=5.0)
 FROZEN_PLAN = dict(replications=2, steps_per_replication=30, warmup_steps=5, seed=11)
 FROZEN_THRESHOLD = 4e-4
@@ -258,36 +262,36 @@ def test_outputs_frozen_bit_for_bit(channel):
     expected = {
         "live": {
             "interference": (
-                ("0x1.c35974d5b0ddcp-5", "0x1.17eb8e74e95e0p-11", 50),
-                ("0x1.06cb9645bac5ap-9", "0x1.dc8cb774a7f6dp-11", 50),
-                ("0x1.2ced3ef387358p-6", "0x1.19a7c5575ae80p-9", 50),
-                ("0x1.131be63a2c7f4p-14", "0x1.66d2a6864733ep-16", 50),
+                ("0x1.fbbf0b218c11ap-5", "0x1.f9af737956cf0p-8", 50),
+                ("0x1.534e41badca92p-9", "0x1.2b9d793751f02p-10", 50),
+                ("0x1.237fee176bbd5p-6", "0x1.6e058117c830fp-10", 50),
+                ("0x1.497467ab683d2p-14", "0x1.10bd2093748e9p-16", 50),
                 3,
             ),
             CellType.CSG: (
-                ("0x1.eb851eb851eb9p-3", "0x1.47ae147ae147cp-5", 50),
-                ("0x1.725f8dd58cd22p+10", "0x1.10632985e3528p+7", 50),
+                ("0x1.47ae147ae147bp-2", "0x1.eb851eb851eb8p-4", 50),
+                ("0x1.ef03cde74009ap+10", "0x1.89a3e2df6d0c0p+9", 50),
             ),
             CellType.OSG: (
-                ("0x1.51eb851eb851fp-1", "0x1.c28f5c28f5c29p-3", 50),
-                ("0x1.f155f27a401c9p+12", "0x1.bdc4cca56c7eep+11", 50),
+                ("0x1.47ae147ae147bp-1", "0x1.47ae147ae1478p-4", 50),
+                ("0x1.7b468e46c3bf3p+12", "0x1.4a9101a71f16cp+10", 50),
             ),
         },
         "stationary": {
             "interference": (
-                ("0x1.3a9b4ae732dacp-3", "0x1.57d7cf84261d0p-8", 50),
-                ("0x1.2ea533ad77160p-8", "0x1.17e4b3cad814ep-10", 50),
-                ("0x1.62098b3b5cecbp-5", "0x1.8d10f9245a5e0p-9", 50),
-                ("0x1.445bf1f2c5212p-13", "0x1.766e75b4755f7p-17", 50),
-                0,
+                ("0x1.1c4337e6faf49p-3", "0x1.94e160c9744ffp-10", 50),
+                ("0x1.fbfc88984a489p-9", "0x1.2bc6539fb63b3p-11", 50),
+                ("0x1.5f10238eb93f8p-5", "0x1.0dbe8abf0ef50p-10", 50),
+                ("0x1.0893538e95f73p-13", "0x1.cb59d44553f06p-16", 50),
+                15,
             ),
             CellType.CSG: (
-                ("0x1.47ae147ae147bp-4", "0x0.0p+0", 50),
-                ("0x1.5a172efd7c9c0p+9", "0x1.2934a3e4ef38fp+5", 50),
+                ("0x1.eb851eb851eb8p-5", "0x1.47ae147ae147bp-6", 50),
+                ("0x1.a24d21120ac76p+9", "0x1.05f20ab0b2058p+8", 50),
             ),
             CellType.OSG: (
-                ("0x1.3333333333333p-2", "0x1.eb851eb851eb8p-5", 50),
-                ("0x1.98a6fa18a646ap+10", "0x1.044680ef44fc4p+8", 50),
+                ("0x1.5c28f5c28f5c2p-2", "0x1.47ae147ae1478p-6", 50),
+                ("0x1.1348c51def187p+11", "0x1.4d47aad6f5214p+9", 50),
             ),
         },
     }
@@ -338,14 +342,66 @@ def test_sinr_sweep_equals_single_query_calls(channel, mode, cell, cfg):
     assert [(_hex(s), _hex(r)) for s, r in swept] == [(_hex(s), _hex(r)) for s, r in single]
 
 
-def test_sinr_sweep_rejects_mixed_cells_and_empty_sequence(channel):
+@pytest.mark.parametrize("mode", ["stationary", "live"])
+def test_sinr_mixed_cells_equal_single_query_calls(channel, mode):
+    # both cell types score one snapshot per sample, so a mixed sequence is
+    # one run whose pairs equal the single-query runs bit for bit
     plan = _plan(**FROZEN_PLAN)
-    mixed = [PerformanceQuery(kappa=0.9, threshold=T60, cell_type=cell)
-             for cell in (CellType.CSG, CellType.OSG)]
-    for queries in (mixed, []):
-        for mode in ("stationary", "live"):
-            with pytest.raises(ValueError):
-                run_sinr(plan, FROZEN_CFG, channel, queries, mode, p_in=0.05, p_out=0.3)
+    queries = [PerformanceQuery(kappa=0.9, threshold=FROZEN_THRESHOLD, cell_type=cell)
+               for cell in (CellType.CSG, CellType.OSG)]
+    mixed = run_sinr(plan, FROZEN_CFG, channel, queries, mode)
+    single = [run_sinr(plan, FROZEN_CFG, channel, q, mode) for q in queries]
+    assert [(_hex(s), _hex(r)) for s, r in mixed] == [(_hex(s), _hex(r)) for s, r in single]
+    assert mixed[0] != mixed[1]
+
+
+def test_sinr_sweep_rejects_empty_sequence(channel):
+    plan = _plan(**FROZEN_PLAN)
+    for mode in ("stationary", "live"):
+        with pytest.raises(ValueError):
+            run_sinr(plan, FROZEN_CFG, channel, [], mode, p_in=0.05, p_out=0.3)
+
+
+def test_stationary_snapshot_counts_follow_the_multinomial_split(desk_cfg):
+    # ring users with probability eta*q, inner ones with eta*(1 - q): the
+    # ring count and the total count are both binomial
+    eta, q = desk_cfg.R_I**2 / desk_cfg.L**2, 1.0 - desk_cfg.R**2 / desk_cfg.R_I**2
+    rng = np.random.default_rng(2024)
+    draws = [montecarlo._stationary_interference(rng, 20_000, desk_cfg, eta) for _ in range(10)]
+    k_ring = np.concatenate([d[2] for d in draws])
+    k_total = k_ring + np.concatenate([d[3] for d in draws])
+    n = k_ring.size
+    for k, p in ((k_ring, eta * q), (k_total, eta)):
+        mean, var = desk_cfg.N * p, desk_cfg.N * p * (1.0 - p)
+        assert abs(k.mean() - mean) <= 5.0 * math.sqrt(var / n)
+        assert abs(k.var(ddof=1) - var) <= 5.0 * var * math.sqrt(2.0 / n)
+    # the positions of each block match its counts
+    assert all(d[0].size == d[2].sum() and d[1].size == d[3].sum() for d in draws)
+
+
+@pytest.mark.parametrize("mode", ["stationary", "live"])
+def test_snapshots_come_in_blocks_of_bounded_size(channel, monkeypatch, mode):
+    budget = 200                        # about 11 snapshots of FROZEN_CFG per block
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", budget)
+    sizes, blocks = [], []
+    annulus, stationary = montecarlo._uniform_annulus, montecarlo._stationary_interference
+    monkeypatch.setattr(montecarlo, "_uniform_annulus",
+                        lambda rng, n, lo, hi: sizes.append(n) or annulus(rng, n, lo, hi))
+    monkeypatch.setattr(montecarlo, "_stationary_interference",
+                        lambda *args: blocks.append(args[1]) or stationary(*args))
+    plan = _plan(scenario="interference", replications=2, steps_per_replication=60,
+                 warmup_steps=5)
+    rng = np.random.default_rng(3)
+    totals, _ = montecarlo._interference(rng, plan, FROZEN_CFG, channel, mode,
+                                         FROZEN_CFG.R_I**2 / FROZEN_CFG.L**2)
+    for total in totals.values():
+        assert total.shape == (55,) and np.all(np.isfinite(total))
+    assert np.all(totals[CellType.CSG] >= totals[CellType.OSG])
+    if mode == "stationary":
+        assert sum(blocks) == 55 and len(blocks) >= 4
+        assert max(sizes) <= 2 * budget
+    run = run_interference(plan, FROZEN_CFG, channel, mode)
+    assert run.csg_mean.sample_count == 110 and run.csg_mean.value > run.osg_mean.value
 
 
 def test_seed_changes_the_draws(desk_cfg):
