@@ -54,7 +54,7 @@ from .occupancy import (
     stationary_distribution,
     transition_matrix,
 )
-from .performance import MetricResult, PerformanceQuery, average_rate, success_probability
+from .performance import MetricResult, PerformanceQuery, success_probability
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -37,8 +37,8 @@ from scipy import integrate, optimize, special
 OUTER_EPSABS = 1e-11
 OUTER_EPSREL = 1e-8
 
-# Gauss-Legendre nodes per angular panel; the half rule on the same panel
-# gives the error estimate.  Both are evaluated in one kernel call.
+# Gauss-Legendre nodes per panel of the fixed rule; the half rule on the same
+# panel gives the error estimate.  Both are evaluated in one kernel call.
 INNER_NODES = 64
 _FULL = np.polynomial.legendre.leggauss(INNER_NODES)
 _HALF = np.polynomial.legendre.leggauss(INNER_NODES // 2)
@@ -134,10 +134,11 @@ def _reentry_series(a, b, period, alpha: float, delta: float):
     return total, 31.0 / 967680.0 * np.abs(derivative(5))
 
 
-def _angular(kernel, edges):
+def _gauss_legendre(kernel, edges):
     """Integral over the panels between consecutive ``edges`` of a
-    vectorized kernel returning (values, error bounds) at given angles,
-    on the fixed Gauss-Legendre rule.
+    vectorized kernel returning (values, error bounds) at given points, on
+    the fixed Gauss-Legendre rule; leading axes of the values stay, and the
+    values are weighted in place.
 
     Returns the integral and its error: the full rule against its half
     rule, plus the integrated error bounds of the kernel.
@@ -147,11 +148,11 @@ def _angular(kernel, edges):
     t = edges[:-1, None] + half * (1.0 + _NODES)
     w = half * _WEIGHTS
     values, bounds = kernel(t)
-    weighted = w * values
-    full = float(weighted[:, :INNER_NODES].sum())
-    coarse = float(weighted[:, INNER_NODES:].sum())
-    bound = float((w * bounds)[:, :INNER_NODES].sum())
-    return full, abs(full - coarse) + bound
+    weighted = np.multiply(values, w, out=values)
+    full = weighted[..., :INNER_NODES].sum(axis=(-2, -1))
+    coarse = weighted[..., INNER_NODES:].sum(axis=(-2, -1))
+    err = abs(full - coarse) + (w * bounds)[..., :INNER_NODES].sum(axis=(-2, -1))
+    return (full, err) if full.ndim else (float(full), float(err))
 
 
 def _radial(angular, a, b, args, points=()):
@@ -214,7 +215,7 @@ def _return_angular(r0, alpha, delta, L, Rd):
     edges = [0.0, 0.5 * math.pi, math.pi]
     if delta >= 2.0 * (math.sqrt(L * L - Rd * Rd) - Rd):
         edges = sorted(edges + _window_kinks(windows, delta))
-    return _angular(kernel, edges)
+    return _gauss_legendre(kernel, edges)
 
 
 def _outgoing_angular(r0, alpha, delta, Rd):
@@ -227,7 +228,7 @@ def _outgoing_angular(r0, alpha, delta, Rd):
     def kernel(theta):
         return _survival(exit_distance(r0, theta, Rd), alpha, delta), 0.0
 
-    value, err = _angular(kernel, (t1, split, math.pi))
+    value, err = _gauss_legendre(kernel, (t1, split, math.pi))
     return t1 + value, err
 
 

@@ -12,21 +12,25 @@ crossing pair at R_I reproduces as p_in/(p_in + p_out) by detailed
 balance; a pair passed explicitly sets eta instead.
 
 MGF evaluation is restricted to s <= 0: all consumers evaluate at
-negative arguments and the MGF need not exist for s > 0.  Moments come
-from closed forms, never from positive-s derivatives.
+negative arguments and the MGF need not exist for s > 0.  The MGFs take
+arrays of s; away from the closed forms at beta = 2 and 4 they run on the
+fixed Gauss-Legendre rule of ``crossing``.  Moments come from closed
+forms, never from positive-s derivatives.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
+import numpy as np
 
 from .config import CellType, ChannelConfig, NetworkConfig
+from .crossing import _gauss_legendre
 from .crossing import crossing_probabilities  # noqa: F401  (bench/tracing.py wraps this name)
 from .occupancy import occupancy_pgf
 
 BETA_TOL = 1e-9
+MGF_PANEL = 2.0         # width in v = ln d of the rule's panels, beta not 2 or 4
 
 
 @dataclass(frozen=True)
@@ -69,41 +73,38 @@ def osg_interferer_moments(ch: ChannelConfig, R: float, R_I: float) -> Interfere
     return InterfererMoments(first, second)
 
 
-def _rayleigh_mgf_ring(s: float, ch: ChannelConfig, lo: float, hi: float) -> float:
-    """E[exp(s*g*P/d**beta)] for exponential gain, d on [lo, hi]."""
-    if s == 0.0:
-        return 1.0
-    beta = ch.beta
-    c = ch.P_t_m * ch.P_gamma * s          # c <= 0 on the allowed domain
-    area = hi * hi - lo * lo
-    if abs(beta - 2.0) <= BETA_TOL:
-        return 1.0 + c / area * math.log((hi * hi - c) / (lo * lo - c))
-    if abs(beta - 4.0) <= BETA_TOL:
-        # real form of the quartic antiderivative for c < 0
-        u = math.sqrt(-c)
-        return 1.0 - u / area * (math.atan(u / lo**2) - math.atan(u / hi**2))
-    integral, _ = integrate.quad(
-        lambda y: y / (y**beta - c), lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200
-    )
-    return 1.0 + 2.0 * c / area * integral
-
-
-def interferer_mgf(
-    s: float, ch: ChannelConfig, cell_type: CellType, R: float, R_I: float
-) -> float:
-    """MGF of one interferer's power at s <= 0.
-
-    The gain is exponential (Rayleigh power), giving the radial-integral
-    form with closed expressions at beta = 2 and 4.
-    """
-    if s > 0.0:
+def interferer_mgf(s, ch: ChannelConfig, cell_type: CellType, R: float, R_I: float):
+    """MGF of one interferer's power at s <= 0; a scalar s gives a float.
+    With exponential gain and c = P_t_m * P_gamma * s it is 1 + 2c/(hi**2 -
+    lo**2) times the integral of d/(d**beta - c) over the support [lo, hi]."""
+    s = np.asarray(s, dtype=float)
+    if (s > 0.0).any():
         raise ValueError("interferer MGF is only evaluated at s <= 0")
-    lo = 1.0 if cell_type is CellType.CSG else R
+    lo, hi = (1.0 if cell_type is CellType.CSG else R), R_I
     if cell_type is CellType.OSG and not 1.0 <= R < R_I:
         raise ValueError(f"need 1 <= R < R_I, got R={R}, R_I={R_I}")
     if R_I <= lo:
         raise ValueError(f"R_I must exceed {lo}, got {R_I}")
-    return _rayleigh_mgf_ring(s, ch, lo, R_I)
+    c = ch.P_t_m * ch.P_gamma * s          # c <= 0 on the allowed domain
+    area = hi * hi - lo * lo
+    # scalars keep libm's log and atan, which numpy's vector loops can miss by an ulp
+    if abs(ch.beta - 2.0) <= BETA_TOL:
+        log = np.log if c.ndim else math.log
+        g = 1.0 + c / area * log((hi * hi - c) / (lo * lo - c))
+    elif abs(ch.beta - 4.0) <= BETA_TOL:
+        # real form of the quartic antiderivative for c < 0
+        atan = np.arctan if c.ndim else math.atan
+        u = np.sqrt(-c)
+        g = 1.0 - u / area * (atan(u / lo**2) - atan(u / hi**2))
+    else:
+        def kernel(v):                     # d**2 / (d**beta - c), in place
+            den = np.exp(ch.beta * v) - np.expand_dims(c, (-2, -1))
+            return np.divide(np.exp(2.0 * v), den, out=den), 0.0
+
+        v_lo, v_hi = math.log(lo), math.log(hi)
+        edges = np.linspace(v_lo, v_hi, math.ceil((v_hi - v_lo) / MGF_PANEL) + 1)
+        g = 1.0 + 2.0 * c / area * _gauss_legendre(kernel, edges)[0]
+    return g if g.ndim else float(g)
 
 
 def _ring_weight(cfg: NetworkConfig) -> float:
@@ -123,28 +124,26 @@ def _eta(cfg: NetworkConfig, p_in: float | None = None, p_out: float | None = No
 
 
 def total_mgf(
-    s: float,
+    s,
     cfg: NetworkConfig,
     ch: ChannelConfig,
     p_in: float | None = None,
     p_out: float | None = None,
-) -> float:
-    """MGF of the total uplink interference at s <= 0.
+):
+    """MGF of the total uplink interference at s <= 0; a scalar s gives a float.
 
     Composes the in-cell count PGF at radius R_I with the per-interferer
     MGF; in the open-cell case the argument is thinned by the ring weight
     q = 1 - R**2/R_I**2.
     """
-    if s > 0.0:
-        raise ValueError("total MGF is only evaluated at s <= 0")
     eta = _eta(cfg, p_in, p_out)
-    if cfg.N == 0 or s == 0.0:
-        return 1.0
     g = interferer_mgf(s, ch, cfg.cell_type, cfg.R, cfg.R_I)
     if cfg.cell_type is CellType.OSG:
         q = _ring_weight(cfg)
         g = q * g + 1.0 - q
-    return occupancy_pgf(g, cfg.N, eta)
+    # exactly 1 at s = 0, where the thinning and the PGF may round 1 down an ulp
+    m = np.where(np.equal(s, 0.0), 1.0, occupancy_pgf(g, cfg.N, eta))
+    return m if m.ndim else float(m)
 
 
 def total_moments(

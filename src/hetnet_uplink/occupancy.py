@@ -66,11 +66,11 @@ def stationary_distribution(N: int, eta: float) -> np.ndarray:
     return stats.binom.pmf(np.arange(N + 1), N, eta)
 
 
-def occupancy_pgf(z: float, N: int, eta: float) -> float:
+def occupancy_pgf(z, N: int, eta: float):
     """Probability generating function (eta*z + 1 - eta)**N of the
-    stationary in-cell count."""
+    stationary in-cell count, elementwise over an array z."""
     _check_eta(N, eta)
-    return float((eta * z + 1.0 - eta) ** N)
+    return (eta * z + 1.0 - eta) ** N
 
 
 def occupancy_moments(N: int, eta: float) -> OccupancyMoments:

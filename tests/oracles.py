@@ -3,8 +3,8 @@
 These deliberately avoid the implementation paths they check: flights are
 traced segment by segment, stationary vectors come from power iteration,
 expectations come from plain sampling, re-entry series come from the
-Hurwitz zeta function and crossing integrals from nested adaptive
-quadrature.
+Hurwitz zeta function, and crossing integrals, interferer MGFs and average
+rates (by the tail-integral route) from nested adaptive quadrature.
 """
 from __future__ import annotations
 
@@ -198,3 +198,58 @@ def crossing_oracle(alpha, delta, L, R):
     points = (delta - R, math.hypot(delta, R), delta + R)
     p_in = 2.0 / (math.pi * (L * L - R * R)) * _quad(incoming, R, L, points, 1e-12)
     return p_in, p_out
+
+
+# ------------------------------------------------------------ SINR
+
+def ring_mgf(s, ch, lo, hi):
+    """E[exp(s * g * P_t_m / d**beta)] at s <= 0 for an exponential gain g
+    of mean P_gamma and d uniform in area on [lo, hi], with its error, by
+    adaptive quadrature in w = ln(d**2): E[exp(s g c')] = 1/(1 - s c') for
+    the exponential gain, against the density e**w/(hi**2 - lo**2) in w."""
+    c = ch.P_t_m * ch.P_gamma * s
+    area = hi * hi - lo * lo
+
+    def integrand(w):
+        return math.exp(w) / area / (1.0 - c * math.exp(-0.5 * ch.beta * w))
+
+    # full output: a missed tolerance shows in the returned error, not as a warning
+    value, err = integrate.quad(
+        integrand, 2.0 * math.log(lo), 2.0 * math.log(hi),
+        epsabs=1e-15, epsrel=1e-14, limit=200, full_output=1,
+    )[:2]
+    return value, err
+
+
+def rate_oracle(kappa, cfg, ch):
+    """Average rate [nats/s] of a home user at kappa, with its error, by the
+    tail-integral route W * int_0^inf P{SINR >= y}/(1 + y) dy at the
+    stationary weight R_I**2/L**2: adaptive quadrature in t = ln y over
+    [-60, ln(60 / mean noise-to-signal)], each P{SINR >= y} from
+    ``ring_mgf``.  The error adds the outer estimate, the omitted ends
+    (below e**-60 and e**-60 / 60), the inner errors that the N-th power
+    amplifies and N * eps of rounding in that power."""
+    t_lo, span = -60.0, 60.0
+    open_cell = cfg.cell_type.name == "OSG"
+    lo = cfg.R if open_cell else 1.0
+    eta = cfg.R_I**2 / cfg.L**2
+    w = eta * (1.0 - cfg.R**2 / cfg.R_I**2) if open_cell else eta
+    scale = (kappa * cfg.R) ** ch.beta / (ch.P_t_h * ch.P_gamma)
+    noise = scale * ch.noise_power
+    inner = [0.0]
+
+    def integrand(t):
+        y = math.exp(t)
+        g, err = ring_mgf(-scale * y, ch, lo, cfg.R_I)
+        inner[0] = max(inner[0], err)
+        ccdf = math.exp(-noise * y + cfg.N * math.log1p(-w * (1.0 - g)))
+        return ccdf * y / (1.0 + y)
+
+    value, err = integrate.quad(
+        integrand, t_lo, math.log(span / noise), epsabs=0.0, epsrel=1e-13, limit=400,
+        full_output=1,
+    )[:2]
+    rate = ch.W * value
+    ends = math.exp(t_lo) + math.exp(-span) / span
+    amplified = cfg.N * (w / (1.0 - w) * inner[0] + np.finfo(float).eps) * rate
+    return rate, ch.W * (err + ends) + amplified

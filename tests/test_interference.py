@@ -13,7 +13,7 @@ from hetnet_uplink import (
     total_moments,
 )
 
-from oracles import interference_samples, mean_with_se
+from oracles import interference_samples, mean_with_se, ring_mgf
 
 R, R_I = 60.0, 120.0
 BETA_GRID = (2.0, 2.5, 3.0, 3.5, 4.0)
@@ -103,8 +103,9 @@ def test_moment_domain_errors(channel):
 # ------------------------------------------------------------- MGFs
 
 def test_mgf_is_one_at_zero(channel):
-    assert interferer_mgf(0.0, channel, CellType.CSG, R, R_I) == 1.0
-    assert interferer_mgf(0.0, channel, CellType.OSG, R, R_I) == 1.0
+    for beta in (2.0, 3.0, 4.0):
+        for cell in (CellType.CSG, CellType.OSG):
+            assert interferer_mgf(0.0, replace(channel, beta=beta), cell, R, R_I) == 1.0
 
 
 def test_mgf_rejects_positive_argument(channel):
@@ -141,6 +142,19 @@ def test_mgf_beta4_closed_form_matches_quadrature(channel):
         assert abs(closed - quad) / abs(closed) <= 1e-9
 
 
+@pytest.mark.parametrize("beta", [2.5, 3.0, 6.0])
+def test_mgf_rule_matches_adaptive_oracle(channel, beta):
+    # one array call on the Gauss-Legendre rule, against adaptive quadrature
+    # in ln(d**2) and against one scalar call per argument
+    ch = replace(channel, beta=beta)
+    s = -np.logspace(-3, 13, 33)
+    for cell, lo in ((CellType.CSG, 1.0), (CellType.OSG, R)):
+        got = interferer_mgf(s, ch, cell, R, R_I)
+        want = np.array([ring_mgf(x, ch, lo, R_I)[0] for x in s])
+        assert np.abs(got - want).max() <= 1e-13
+        assert got.tolist() == [interferer_mgf(float(x), ch, cell, R, R_I) for x in s]
+
+
 def test_mgf_general_beta_between_closed_forms(channel):
     s = -1.0
     g2 = interferer_mgf(s, replace(channel, beta=2.0), CellType.CSG, R, R_I)
@@ -152,9 +166,14 @@ def test_mgf_general_beta_between_closed_forms(channel):
 # ------------------------------------------------------------- totals
 
 def test_total_mgf_trivial_points(desk_cfg, channel):
-    assert total_mgf(0.0, desk_cfg, channel) == 1.0
-    empty = replace(desk_cfg, N=0)
-    assert total_mgf(-3.0, empty, channel) == 1.0
+    for beta in (2.0, 3.0, 4.0):
+        for cell in (CellType.CSG, CellType.OSG):
+            cfg = replace(desk_cfg, cell_type=cell)
+            ch = replace(channel, beta=beta)
+            assert total_mgf(0.0, cfg, ch) == 1.0
+            # at R_I = 141 m both eta*1 + 1 - eta and the ring thinning round below 1
+            assert total_mgf(0.0, replace(cfg, R_I=141.0), ch) == 1.0
+            assert total_mgf(-3.0, replace(cfg, N=0), ch) == 1.0
 
 
 def test_ring_weight_reference_value(desk_cfg):
@@ -184,7 +203,7 @@ def test_default_weight_is_the_crossing_pair_ratio(desk_cfg, channel, probs_at_R
 
 
 @pytest.mark.parametrize("cell", [CellType.CSG, CellType.OSG])
-@pytest.mark.parametrize("beta", [2.0, 4.0])
+@pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
 def test_total_mgf_derivatives_match_closed_moments(desk_cfg, channel, cell, beta):
     cfg = replace(desk_cfg, cell_type=cell)
     ch = replace(channel, beta=beta)

@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hetnet_uplink import CellType, PerformanceQuery, average_rate, success_probability
+from hetnet_uplink import CellType, PerformanceQuery, success_probability
 from hetnet_uplink.performance import evaluate
+
+from oracles import rate_oracle
 
 T60 = 1e-6                        # -60 dB
 KAPPAS = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -73,13 +75,13 @@ def test_pathloss_crossover_between_cell_types(desk_cfg, channel):
 
 def test_rate_zero_bandwidth(desk_cfg, channel):
     ch = replace(channel, W=0.0)
-    assert average_rate(_q(), desk_cfg, ch) == 0.0
+    assert evaluate(_q(), desk_cfg, ch).average_rate == 0.0
 
 
 def test_rate_noise_only_matches_direct_expectation(desk_cfg, channel):
     cfg = replace(desk_cfg, N=0)
     q = _q()
-    rate = average_rate(q, cfg, channel)
+    rate = evaluate(q, cfg, channel).average_rate
     rng = np.random.default_rng(55)
     g = rng.exponential(channel.P_gamma, 10**7)
     snr = g * channel.P_t_h / ((q.kappa * cfg.R) ** channel.beta * channel.noise_power)
@@ -91,10 +93,27 @@ def test_rate_noise_only_matches_direct_expectation(desk_cfg, channel):
 
 def test_rate_decreases_with_distance(desk_cfg, channel):
     rates = [
-        average_rate(_q(kappa=k), desk_cfg, channel)
+        evaluate(_q(kappa=k), desk_cfg, channel).average_rate
         for k in (0.2, 0.4, 0.6, 0.8, 1.0)
     ]
     assert all(a > b for a, b in zip(rates, rates[1:]))
+
+
+@pytest.mark.parametrize("beta, cell, N, kappa", [
+    (4.0, CellType.CSG, 5564, 0.97),
+    (4.0, CellType.OSG, 200, 0.1),
+    (2.0, CellType.CSG, 2000, 0.9),
+    (2.0, CellType.OSG, 2000, 0.3),
+    (3.0, CellType.CSG, 1000, 0.5),
+    (3.0, CellType.OSG, 8000, 1.0),
+])
+def test_rate_within_its_error_of_the_tail_integral_oracle(desk_cfg, channel, beta, cell, N, kappa):
+    cfg = replace(desk_cfg, N=N, cell_type=cell)
+    ch = replace(channel, beta=beta)
+    res = evaluate(_q(kappa=kappa, cell=cell), cfg, ch)
+    want, want_err = rate_oracle(kappa, cfg, ch)
+    assert abs(res.average_rate - want) <= res.quadrature_error + want_err
+    assert res.quadrature_error <= 1e-10 * res.average_rate
 
 
 def test_rate_full_case_matches_mc(desk_cfg, channel):
@@ -136,6 +155,6 @@ def test_metrics_insensitive_to_step_length(desk_cfg, channel):
         cfg = replace(desk_cfg, delta=delta)
         cp = crossing_probabilities(cfg, cfg.R_I)
         values.append(success_probability(q, cfg, channel, cp.p_in, cp.p_out))
-        rates.append(average_rate(q, cfg, channel, cp.p_in, cp.p_out))
+        rates.append(evaluate(q, cfg, channel, cp.p_in, cp.p_out).average_rate)
     assert max(values) - min(values) <= 0.02
     assert (max(rates) - min(rates)) / max(rates) <= 0.02
