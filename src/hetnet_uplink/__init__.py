@@ -19,12 +19,7 @@ from .config import (
     validate,
     watts_to_dbm,
 )
-from .crossing import (
-    CrossingProbabilities,
-    crossing_probabilities,
-    exit_distance,
-    return_correction,
-)
+from .crossing import CrossingProbabilities, crossing_probabilities
 from .interference import (
     InterfererMoments,
     csg_interferer_moments,

@@ -72,8 +72,7 @@ class RunManifest:
     output_format: str = "csv"           # csv | records
     timestamp_header: bool = True
     replications: int = 4
-    steps: int = 20_000
-    warmup: int = 1_000
+    steps: int = 19_000                  # sampled steps (crossing: flights)
     mode: str = "stationary"
     threshold_db: float = -60.0
     kappa: float = 0.9
@@ -410,7 +409,7 @@ def run(manifest: RunManifest) -> int:
     if manifest.full_scale:
         print("warning: full-scale run (10^6 steps per replication); this takes hours",
               file=sys.stderr)
-        manifest = replace(manifest, steps=1_000_000, warmup=1_000)
+        manifest = replace(manifest, steps=999_000)
         cfg = replace(cfg, N=10_000) if manifest.config_path is None else cfg
 
     analytic = manifest.engine in ("analytic", "both")
@@ -420,7 +419,7 @@ def run(manifest: RunManifest) -> int:
         if mc:
             plan = ExperimentPlan("crossing", replications=manifest.replications,
                                   steps_per_replication=manifest.steps,
-                                  warmup_steps=manifest.warmup, seed=manifest.seed)
+                                  warmup_steps=0, seed=manifest.seed)
         rows, checks = rows_of(scenario, manifest, cfg, ch, analytic, plan)
     except Exception as exc:  # quadrature/budget failures surface by name
         return _fail(f"{type(exc).__name__}: {exc}", 1)
@@ -466,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress the timestamp comment so reruns are byte-identical",
     )
     p.add_argument("--replications", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--warmup", type=int)
+    p.add_argument("--steps", type=int, help="sampled steps per replication; "
+                   "the crossing scenario flies this many flights")
     p.add_argument("--mode", choices=("stationary", "live"))
     p.add_argument("--threshold-db", dest="threshold_db", type=float)
     p.add_argument("--kappa", type=float)

@@ -58,7 +58,6 @@ class NetworkConfig:
     N       user population
     alpha   flight-length tail exponent
     delta   basic step length (minimum flight length) [m]
-    T_s     flight period [s]
     """
 
     L: float = 500.0
@@ -67,7 +66,6 @@ class NetworkConfig:
     N: int = 10000
     alpha: float = 0.6
     delta: float = 30.0
-    T_s: float = 1.0
     cell_type: CellType = CellType.CSG
 
 
@@ -113,8 +111,6 @@ def validate(cfg: NetworkConfig, ch: ChannelConfig | None = None):
         bad.append(f"delta must be positive, got delta={cfg.delta}")
     if not cfg.N >= 0:
         bad.append(f"N must be nonnegative, got N={cfg.N}")
-    if not cfg.T_s > 0:
-        bad.append(f"T_s must be positive, got T_s={cfg.T_s}")
 
     if ch is not None:
         if not ch.beta >= 2.0:
@@ -145,7 +141,7 @@ def validate(cfg: NetworkConfig, ch: ChannelConfig | None = None):
     return (cfg, ch) if ch is not None else cfg
 
 
-_NETWORK_KEYS = {"L", "R", "R_I", "N", "alpha", "delta", "T_s", "cell_type"}
+_NETWORK_KEYS = {"L", "R", "R_I", "N", "alpha", "delta", "cell_type"}
 _CHANNEL_KEYS = {"P_t_m", "P_t_h", "beta", "P_gamma", "P_gamma2", "W", "N0"}
 _DBM_KEYS = {"P_t_m_dbm": "P_t_m", "P_t_h_dbm": "P_t_h"}
 

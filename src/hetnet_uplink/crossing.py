@@ -1,29 +1,34 @@
 """Average per-flight probabilities of entering / leaving a disk.
 
 The cell of interest is a disk of radius ``r_disk`` concentric with the
-macro disk of radius L (the isotropic model reduces every placement to
-the user-to-center distance).  For a user inside the cell, the direct
-outgoing part integrates the flight-length survival over the exit
-distance.  Flights long enough to leave the macro disk re-enter
-antipodally, so each boundary crossing opens one more "window" of flight
-lengths that end back inside the cell; the series of those windows over
-the crossing count m is subtracted from the direct part.
+macro disk of radius L.  A user uniform in the cell with a uniform heading
+flies along a line at offset w from the center, with density c/(pi r**2)
+for the cell's chord c = 2*sqrt(r**2 - w**2) on that line, and starts
+uniformly on that chord (Santalo, Integral Geometry and Geometric
+Probability, 1976, ch. 4).  Antipodal re-entry maps the line at offset w
+to the line at -w, which cuts the cell in a chord of the same length, so
+on the unwrapped track the cell's copies sit at [m*P - c/2, m*P + c/2],
+m = 0, 1, 2, ..., with P = 2*sqrt(L**2 - w**2) the macro chord.  Averaged
+over the start, the flight ends outside every copy with probability
+
+  p_out = 2/(pi r**2) * integral over w in [0, r] of
+          Sigma(c) + sum over m >= 1 of Delta2 Sigma(m*P; c),
+
+with Sigma(x) the integral of the flight survival over [0, x] and
+Delta2 Sigma(y; c) = Sigma(y + c) - 2 Sigma(y) + Sigma(y - c) <= 0.  The
+first term is the direct exit, the series the re-entry correction.
+
+The integral runs on one fixed Gauss-Legendre rule in phi, w = r sin(phi),
+split where c, m*P or m*P +- c meets the basic step delta (all in closed
+form).  The series sums SERIES_TERMS terms explicitly and closes the rest
+with its Euler-Maclaurin integral tail, so it carries no truncation bias.
+The error estimate adds the rule error (full rule against its half on the
+same panels) and the Euler-Maclaurin remainder.
 
 The uniform law on the macro disk is stationary under these flights, so
 the flows across the cell boundary balance: with eta = r_disk**2 / L**2,
 eta * p_out = (1 - eta) * p_in, and p_in needs no integral of its own.
-
-p_out is a radial integral (over the user's distance from the center) of
-an angular integral.  The radial axis runs on adaptive ``scipy.quad``
-with the piecewise-case boundaries as breakpoints.  Every angular
-integral is one vectorized evaluation on a fixed Gauss-Legendre rule,
-split at its kinks: theta1, pi/2 and the angles where a re-entry window
-edge meets the basic step.  The re-entry series sums SERIES_TERMS windows
-explicitly and closes the rest with the Euler-Maclaurin integral tail, so
-it carries no truncation bias.  The error estimate adds the radial
-quadrature error, the angular rule error (full rule against its half on
-the same panels) and the Euler-Maclaurin remainder.  Results are memoized
-per (alpha, delta, L, radius) within a process.
+Results are memoized per (alpha, delta, L, radius) within a process.
 """
 from __future__ import annotations
 
@@ -32,10 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize, special
-
-OUTER_EPSABS = 1e-11
-OUTER_EPSREL = 1e-8
+from scipy import special
 
 # Gauss-Legendre nodes per panel of the fixed rule; the half rule on the same
 # panel gives the error estimate.  Both are evaluated in one kernel call.
@@ -45,46 +47,9 @@ _HALF = np.polynomial.legendre.leggauss(INNER_NODES // 2)
 _NODES = np.concatenate([_FULL[0], _HALF[0]])
 _WEIGHTS = np.concatenate([_FULL[1], _HALF[1]])
 
-# Re-entry windows summed one by one before the Euler-Maclaurin tail.
+# Re-entry terms summed one by one before the Euler-Maclaurin tail.
 SERIES_TERMS = 64
 _TERMS = np.arange(SERIES_TERMS)
-
-# Angles on which re-entry window edges are bracketed where they meet delta.
-_KINK_GRID = np.linspace(0.0, math.pi, 129)
-
-
-def _clamp(x: float) -> float:
-    """Clamp an inverse-trig argument into [-1, 1] to absorb roundoff."""
-    return max(-1.0, min(1.0, x))
-
-
-def _survival(x, alpha: float, delta: float):
-    """P{flight length > x}: 1 below the basic step, else (delta/x)**alpha."""
-    return np.exp(alpha * (math.log(delta) - np.log(np.maximum(x, delta))))
-
-
-def _half_chord(radius: float, r: float, theta):
-    """Half length of the chord that a circle of ``radius`` cuts from the
-    line through a point at distance r from its center, heading at angle
-    theta to the radial direction; 0 when the line misses the circle."""
-    s = r * np.sin(theta)
-    return np.sqrt(np.maximum(radius * radius - s * s, 0.0))
-
-
-def _theta1(r0: float, R: float, delta: float) -> float:
-    """Angle below which a user at r0 inside the disk exits within one basic step."""
-    return math.acos(_clamp((R * R - r0 * r0 - delta * delta) / (2.0 * delta * r0)))
-
-
-def exit_distance(r0: float, theta, R: float):
-    """Distance from a point at radius r0 inside the disk to its boundary.
-
-    theta is measured from the outward radial direction (the cell center
-    sits behind the user at angle pi); it may be an array of angles.
-    """
-    if r0 > R:
-        raise ValueError(f"r0={r0} lies outside the disk of radius {R}")
-    return _half_chord(R, r0, theta) - r0 * np.cos(theta)
 
 
 @dataclass(frozen=True)
@@ -97,41 +62,105 @@ class CrossingProbabilities:
     abs_error_estimate: float
 
 
-def _reentry_series(a, b, period, alpha: float, delta: float):
-    """Sum over m >= 1 of P{a + m*period < X < b + m*period}, elementwise
-    over broadcast arrays with a < b and b - a <= period.
+def _survival_integral(x, y, alpha: float, delta: float):
+    """Sigma(x) - Sigma(y), where Sigma(x) is the integral over [0, x] of
+    P{flight length > t}: 1 up to the basic step, (delta/t)**alpha above.
 
-    Windows whose ceiling b + m*period lies below delta hold no mass and
-    are skipped; the next SERIES_TERMS windows are summed explicitly.  The
-    rest, a smooth function f of m, is the Euler-Maclaurin integral tail
-    with its f' and f''' corrections, written so that alpha = 1 needs no
-    special case.  Returns the sums and a bound on their error: the first
-    omitted Euler-Maclaurin term, a bound because f is completely monotone.
+    Written as min(x, delta) - min(y, delta) plus the power part
+    delta * (Y/delta)**(1 - alpha) * l * exprel((1 - alpha) * l), with
+    X, Y = max(x, delta), max(y, delta) and l = ln(X/Y): no cancellation
+    for x near y, and no special case at alpha = 1.
     """
-    if np.any(a + period <= 0.0):
-        raise ValueError("re-entry window with nonpositive lower edge")
-    first = np.maximum(np.ceil((delta - b) / period), 1.0)
-    shift = (first[..., None] + _TERMS) * period[..., None]
-    explicit = (
-        _survival(a[..., None] + shift, alpha, delta)
-        - _survival(b[..., None] + shift, alpha, delta)
-    ).sum(axis=-1)
+    big_x, big_y = np.maximum(x, delta), np.maximum(y, delta)
+    ell = np.log1p((big_x - big_y) / big_y)
+    beta = 1.0 - alpha
+    return (np.minimum(x, delta) - np.minimum(y, delta)
+            + delta * (big_y / delta) ** beta * ell * special.exprel(beta * ell))
 
-    # the tail windows m >= first + SERIES_TERMS all lie past delta, where
-    # f(m) = (delta/(a + m*period))**alpha - (delta/(b + m*period))**alpha;
-    # Euler-Maclaurin in midpoint form integrates from m = first + SERIES_TERMS - 1/2
-    y_a = a + (first + SERIES_TERMS - 0.5) * period
-    y_b = b + (first + SERIES_TERMS - 0.5) * period
-    s_a, s_b = (delta / y_a) ** alpha, (delta / y_b) ** alpha
-    log_ratio = np.log1p((b - a) / y_a)
-    tail = s_a * y_a / period * log_ratio * special.exprel((1.0 - alpha) * log_ratio)
+
+def _even_series(gamma: float, lowest: int, h2):
+    """((1 + h)**gamma - 2 + (1 - h)**gamma) / (gamma * (gamma - 1) * ...
+    * (gamma - lowest + 1)) for h2 = h*h <= 1/64**2, as its series in h2 with
+    the product divided out term by term: regular where the product
+    vanishes, as gamma * (gamma - 1) does for Sigma_2 (gamma = 2 - alpha)
+    at alpha = 1 and alpha = 2."""
+    coef = [0.0] + [
+        2.0 * math.prod(gamma - j for j in range(lowest, 2 * k)) / math.factorial(2 * k)
+        for k in range(1, 5)
+    ]
+    return np.polynomial.polynomial.polyval(h2, coef)
+
+
+def _reentry_series(c, period, alpha: float, delta: float):
+    """Minus the sum over m >= 1 of Delta2 Sigma(m*period; c), elementwise
+    over broadcast arrays with 0 <= c < period: c times the probability that
+    a flight from a uniform start on a chord of length c ends in a
+    re-entered copy of it.  Returns the sums and a bound on their error.
+
+    Terms whose window m*period + c lies below delta vanish: the sum
+    starts at the first that does not and takes SERIES_TERMS terms
+    explicitly.  The rest, a smooth function f(m), is the midpoint
+    Euler-Maclaurin tail from y0 = (first + SERIES_TERMS - 1/2) * period:
+    the integral -Delta2 Sigma_2(y0; c) / period, with Sigma_2 the integral
+    of Sigma, plus f'(y0)/24 - 7 f'''(y0)/5760, where the k-th derivative of
+    f is period**k * Delta2 S^(k-1)(y0; c) for the survival S.  Past y0 - c
+    every point lies above delta, where Sigma_2 and S are powers of x, so
+    their second differences at step c = h*y0, h < 1/64, come from
+    ``_even_series``.  The error bound is the first omitted term, a bound
+    because -f is completely monotone.
+    """
+    first = np.maximum(np.ceil((delta - c) / period), 1.0)
+    y = (first[..., None] + _TERMS) * period[..., None]
+    chord = c[..., None]
+    explicit = (_survival_integral(y + chord, y, alpha, delta)
+                + _survival_integral(y - chord, y, alpha, delta)).sum(axis=-1)
+
+    y0 = (first + SERIES_TERMS - 0.5) * period
+    u, h2 = y0 / delta, (c / y0) ** 2
 
     def derivative(k):
+        """period**(k + 1) * Delta2 S^(k)(y0; c), for even k."""
         rising = math.prod(alpha + j for j in range(k))
-        return (-period) ** k * rising * (s_a / y_a**k - s_b / y_b**k)
+        return (period ** (k + 1) * rising / delta**k * u ** (-alpha - k)
+                * _even_series(-alpha - k, 0, h2))
 
-    total = explicit + tail + derivative(1) / 24.0 - 7.0 * derivative(3) / 5760.0
-    return total, 31.0 / 967680.0 * np.abs(derivative(5))
+    tail = (-delta * delta * u ** (2.0 - alpha) * _even_series(2.0 - alpha, 2, h2) / period
+            + derivative(0) / 24.0 - 7.0 * derivative(2) / 5760.0)
+    return -(explicit + tail), 31.0 / 967680.0 * np.abs(derivative(4))
+
+
+def _kernel(phi, alpha: float, delta: float, L: float, r: float):
+    """Direct and re-entry integrands at phi, w = r sin(phi), times the
+    Jacobian r cos(phi), and the error bounds of each."""
+    w = r * np.sin(phi)
+    c = 2.0 * r * np.cos(phi)
+    reentry, bound = _reentry_series(c, 2.0 * np.sqrt(L * L - w * w), alpha, delta)
+    direct = _survival_integral(c, 0.0, alpha, delta)
+    jacobian = r * np.cos(phi)
+    return (np.stack([direct, reentry]) * jacobian,
+            np.stack([0.0 * bound, bound]) * jacobian)
+
+
+def _kinks(delta: float, L: float, r: float):
+    """Angles phi in (0, pi/2), w = r sin(phi), where the chord c, a period
+    multiple m*P or a window edge m*P +- c (m >= 1) meets delta.
+
+    With A = P/2 and B = c/2, A**2 - B**2 = L**2 - r**2, so m*P +- c = delta
+    is the quadratic (1 - m**2) A**2 + m delta A - (delta**2/4 + L**2 - r**2)
+    = 0 in A; no window edge reaches delta unless delta >= 2 (L - r).
+    """
+    gap = L * L - r * r
+    w2 = [r * r - 0.25 * delta * delta]
+    k = 0.25 * delta * delta + gap
+    for m in range(1, int((delta + 2.0 * r) / (2.0 * math.sqrt(gap))) + 1):
+        w2.append(L * L - (0.5 * delta / m) ** 2)
+        disc = delta * delta + 4.0 * (1.0 - m * m) * gap
+        if disc >= 0.0:
+            # roots A = 2k / (m delta -+ sqrt(disc)), stable at m = 1
+            for denom in (m * delta + math.sqrt(disc), m * delta - math.sqrt(disc)):
+                if denom > 0.0:
+                    w2.append(L * L - (2.0 * k / denom) ** 2)
+    return sorted(math.asin(math.sqrt(v) / r) for v in w2 if 0.0 < v < r * r)
 
 
 def _gauss_legendre(kernel, edges):
@@ -155,104 +184,15 @@ def _gauss_legendre(kernel, edges):
     return (full, err) if full.ndim else (float(full), float(err))
 
 
-def _radial(angular, a, b, args, points=()):
-    """Integral of r * angular(r, *args)[0] over [a, b] by adaptive
-    quadrature with breakpoints ``points``.
-
-    The error adds the quadrature estimate to (b - a) times the largest
-    r * angular(r, *args)[1] seen at the quadrature nodes.
-    """
-    if b <= a:
-        return 0.0, 0.0
-    worst = [0.0]
-
-    def integrand(r):
-        value, err = angular(r, *args)
-        worst[0] = max(worst[0], r * err)
-        return r * value
-
-    # full output: a missed tolerance shows in the returned error, not as a warning
-    total, err = integrate.quad(
-        integrand, a, b, epsabs=OUTER_EPSABS, epsrel=OUTER_EPSREL, limit=200,
-        points=sorted(p for p in points if a < p < b) or None, full_output=1,
-    )[:2]
-    return total, err + (b - a) * worst[0]
-
-
-def _window_kinks(windows, delta: float):
-    """Angles where an edge a + m*period or b + m*period (m >= 1) of the
-    re-entry windows ``windows(theta) = (a, b, period)`` meets delta, the
-    kink of the survival: bracketed on a grid, refined by root finding."""
-
-    def count(theta, edge, m=0.0):
-        w = windows(theta)
-        return (delta - w[edge]) / w[2] - m
-
-    kinks = []
-    for edge in (0, 1):
-        floor = np.floor(count(_KINK_GRID, edge))
-        for i in np.flatnonzero(np.diff(floor)):
-            lo, hi = sorted(floor[i:i + 2])
-            for m in np.arange(max(lo, 0.0) + 1.0, hi + 1.0):
-                kinks.append(optimize.brentq(count, *_KINK_GRID[i:i + 2], args=(edge, m)))
-    return kinks
-
-
-def _return_angular(r0, alpha, delta, L, Rd):
-    """Angular integral of the probability that a flight from r0 inside
-    the cell re-enters the macro disk and ends inside the cell."""
-
-    def windows(theta):
-        l2 = _half_chord(Rd, r0, theta)
-        rt = l2 - r0 * np.cos(theta)
-        return rt - 2.0 * l2, rt, 2.0 * _half_chord(L, r0, theta)
-
-    def kernel(theta):
-        return _reentry_series(*windows(theta), alpha, delta)
-
-    # the cell's half chord nears a kink at pi/2 as r0 approaches Rd; window
-    # edges reach delta only if delta >= min(a + period) >= 2*sqrt(L**2 - Rd**2) - 2*Rd
-    edges = [0.0, 0.5 * math.pi, math.pi]
-    if delta >= 2.0 * (math.sqrt(L * L - Rd * Rd) - Rd):
-        edges = sorted(edges + _window_kinks(windows, delta))
-    return _gauss_legendre(kernel, edges)
-
-
-def _outgoing_angular(r0, alpha, delta, Rd):
-    """Angular integral of the probability that a flight from r0 inside
-    the cell ends outside it, before re-entry."""
-    # below theta1 the exit lies within one basic step: a sure exit
-    t1 = _theta1(r0, Rd, delta)
-    split = 0.5 * math.pi if t1 < 0.5 * math.pi else 0.5 * (t1 + math.pi)
-
-    def kernel(theta):
-        return _survival(exit_distance(r0, theta, Rd), alpha, delta), 0.0
-
-    value, err = _gauss_legendre(kernel, (t1, split, math.pi))
-    return t1 + value, err
-
-
 @lru_cache(maxsize=None)
-def _return_correction(alpha: float, delta: float, L: float, Rd: float):
-    """Probability that a leaving flight re-enters the macro disk and ends
-    back inside the cell: the correction subtracted from the direct
-    outgoing probability."""
-    total, err = _radial(_return_angular, 0.0, Rd, (alpha, delta, L, Rd))
-    norm = 2.0 / (math.pi * Rd * Rd)
-    return norm * total, norm * err
-
-
-@lru_cache(maxsize=None)
-def _outgoing(alpha: float, delta: float, L: float, Rd: float):
-    """Direct outgoing probability and its error, before the re-entry
-    correction."""
-    if delta >= 2.0 * Rd:
-        return 1.0, 0.0
-    # users nearer the center than delta - Rd leave for sure in every direction
-    r_sure = max(delta - Rd, 0.0)
-    total, err = _radial(_outgoing_angular, r_sure, Rd, (alpha, delta, Rd), (Rd - delta,))
-    norm = 2.0 / (math.pi * Rd * Rd)
-    return r_sure**2 / Rd**2 + norm * total, norm * err
+def _outgoing(alpha: float, delta: float, L: float, r: float):
+    """(direct, re-entry, error): the direct exit probability, the
+    probability that a leaving flight re-enters the macro disk and ends back
+    inside the cell, and the error bound of their difference p_out."""
+    edges = [0.0, *_kinks(delta, L, r), 0.5 * math.pi]
+    parts, err = _gauss_legendre(lambda phi: _kernel(phi, alpha, delta, L, r), edges)
+    norm = 2.0 / (math.pi * r * r)
+    return float(norm * parts[0]), float(norm * parts[1]), float(norm * err.sum())
 
 
 def _radius(cfg, r_disk):
@@ -262,24 +202,15 @@ def _radius(cfg, r_disk):
     return r
 
 
-def return_correction(cfg, r_disk: float | None = None) -> float:
-    """Probability of leaving the cell, leaving the macro disk at least
-    once and still ending the flight inside the cell."""
-    r = _radius(cfg, r_disk)
-    value, _ = _return_correction(cfg.alpha, cfg.delta, cfg.L, r)
-    return value
-
-
 def crossing_probabilities(cfg, r_disk: float | None = None) -> CrossingProbabilities:
     """Both crossing probabilities with an absolute error bound.
 
     p_in = p_out * r**2 / (L**2 - r**2) by the balance of flows under the
-    stationary uniform law.  The bound is the quadrature, angular rule and
-    series error of p_out times max(1, r**2 / (L**2 - r**2)), so it bounds
-    the error of p_in as well."""
+    stationary uniform law.  The bound is the rule and series error of
+    p_out times max(1, r**2 / (L**2 - r**2)), so it bounds the error of
+    p_in as well."""
     r = _radius(cfg, r_disk)
-    direct, err_dir = _outgoing(cfg.alpha, cfg.delta, cfg.L, r)
-    reentry, err_re = _return_correction(cfg.alpha, cfg.delta, cfg.L, r)
+    direct, reentry, err = _outgoing(cfg.alpha, cfg.delta, cfg.L, r)
     p_out = direct - reentry
     ratio = r * r / (cfg.L * cfg.L - r * r)
     p_in = p_out * ratio
@@ -290,5 +221,5 @@ def crossing_probabilities(cfg, r_disk: float | None = None) -> CrossingProbabil
     return CrossingProbabilities(
         p_in=min(max(p_in, 0.0), 1.0),
         p_out=min(max(p_out, 0.0), 1.0),
-        abs_error_estimate=(err_dir + err_re) * max(1.0, ratio),
+        abs_error_estimate=err * max(1.0, ratio),
     )

@@ -162,14 +162,11 @@ def run_occupancy(
     plan: ExperimentPlan,
     cfg: NetworkConfig,
     r_disk: float | None = None,
-    thin: int = 1,
     trace_hook=None,
 ) -> OccupancyRun:
-    """Time statistics of the in-cell count on a mobile population.
-
-    Mean/variance use every post-warmup step; the histogram keeps every
-    ``thin``-th step so chi-square consumers can decorrelate it.
-    """
+    """Time statistics of the in-cell count on a mobile population, over
+    every sampled step; ``trace_hook(step, x, y)`` sees the positions after
+    each of them."""
     r = _radius(cfg, r_disk)
     post = plan.steps_per_replication - plan.warmup_steps
     means, variances = [], []
@@ -182,7 +179,7 @@ def run_occupancy(
                 trace_hook(step, x, y)
         means.append(counts.mean())
         variances.append(counts.var(ddof=1))
-        histogram += np.bincount(counts[::thin], minlength=cfg.N + 1)
+        histogram += np.bincount(counts, minlength=cfg.N + 1)
     return OccupancyRun(
         mean=_pool(means, post),
         variance=_pool(variances, post),

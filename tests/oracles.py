@@ -3,7 +3,8 @@
 These deliberately avoid the implementation paths they check: flights are
 traced segment by segment, stationary vectors come from power iteration,
 expectations come from plain sampling, re-entry series come from the
-Hurwitz zeta function, and crossing integrals, interferer MGFs and average
+Hurwitz zeta function, and crossing integrals (over the user's distance
+and heading, not over the chord offset), interferer MGFs and average
 rates (by the tail-integral route) from nested adaptive quadrature.
 """
 from __future__ import annotations
@@ -82,30 +83,45 @@ def _survival(x, alpha, delta):
     return 1.0 if x <= delta else (delta / x) ** alpha
 
 
-def hurwitz_series(a, b, period, alpha, delta):
-    """Sum over m >= 1 of P{a + m*period < X < b + m*period} for a flight
-    length X with P{X > x} = min(1, (delta/x)**alpha), in mpmath.
+def second_difference_series(c, period, alpha, delta):
+    """Minus the sum over m >= 1 of Delta2 Sigma(m*period; c) =
+    Sigma(m*period + c) - 2 Sigma(m*period) + Sigma(m*period - c), where
+    Sigma(x) is the integral over [0, x] of P{X > t} = min(1, (delta/t)**alpha),
+    in mpmath.
 
-    Windows whose floor lies below delta are summed term by term; the rest
-    is delta**alpha * period**-alpha * (zeta(alpha, M + a/period) -
-    zeta(alpha, M + b/period)) with the Hurwitz zeta continued to alpha < 1
-    (DLMF 25.11), or the digamma difference at alpha = 1.
+    Terms with a point below delta are summed one by one.  Past them Sigma
+    is delta + delta**alpha * (x**(1 - alpha) - delta**(1 - alpha)) / (1 - alpha),
+    and the rest is delta**alpha * period**(1 - alpha) / (1 - alpha) times
+    the second difference of the Hurwitz zeta zeta(alpha - 1, M + t) over
+    t in {-c/period, 0, c/period}, continued to alpha - 1 < 1 (DLMF 25.11);
+    its derivative in s stands in at alpha = 1 (Sigma logarithmic) and
+    minus the digamma function at alpha = 2 (the pole).
     """
     import mpmath as mp
 
-    with mp.workdps(40):        # zeta nears a pole at alpha = 1: keep the difference exact
-        a, b, period, alpha, delta = (mp.mpf(v) for v in (a, b, period, alpha, delta))
+    with mp.workdps(40):        # the zeta differences cancel: keep them exact
+        c, period, alpha, delta = (mp.mpf(v) for v in (c, period, alpha, delta))
+
+        def sigma(x):
+            if x <= delta:
+                return x
+            if alpha == 1:
+                return delta + delta * mp.log(x / delta)
+            return delta + delta * ((x / delta) ** (1 - alpha) - 1) / (1 - alpha)
+
         m, total = 1, mp.mpf(0)
-        while a + m * period <= delta:
-            total += _survival(a + m * period, alpha, delta) - _survival(b + m * period, alpha, delta)
+        while m * period - c < delta:
+            total += sigma(m * period + c) - 2 * sigma(m * period) + sigma(m * period - c)
             m += 1
         if alpha == 1:
-            rest = delta / period * (mp.digamma(m + b / period) - mp.digamma(m + a / period))
+            scale, zeta = -delta, lambda a: mp.zeta(0, a, 1)
         else:
-            rest = (delta / period) ** alpha * (
-                mp.zeta(alpha, m + a / period) - mp.zeta(alpha, m + b / period)
-            )
-        return float(total + rest)
+            scale = delta**alpha * period ** (1 - alpha) / (1 - alpha)
+            # at alpha = 2 the finite part of zeta(s, a) at its pole s = 1
+            zeta = (lambda a: -mp.digamma(a)) if alpha == 2 else (lambda a: mp.zeta(alpha - 1, a))
+        u = c / period
+        rest = scale * (zeta(m + u) - 2 * zeta(m) + zeta(m - u))
+        return float(-(total + rest))
 
 
 _ZETA_NODES, _ZETA_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -127,16 +143,22 @@ def zeta_series(a, b, period, alpha, delta):
 
 
 def _quad(f, a, b, points=(), tol=1e-13):
+    """(integral, error estimate) of f over [a, b] by adaptive quadrature
+    with breakpoints ``points``.  Full output: a missed tolerance shows in
+    the returned error, not as a warning."""
     if b <= a:
-        return 0.0
+        return 0.0, 0.0
     pts = sorted(p for p in points if a < p < b) or None
-    return integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=500, points=pts)[0]
+    value, err = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=500, points=pts,
+                                full_output=1)[:2]
+    return value, err
 
 
 def incoming_angular(d0, alpha, delta, L, R):
     """Integral over the ray angle theta in [0, theta3] of the probability
     that a flight from d0 outside the disk ends inside it, directly or
-    after antipodal re-entries, by adaptive quadrature in theta."""
+    after antipodal re-entries, by adaptive quadrature in theta, with its
+    error."""
     t3 = math.asin(R / d0)
     cos_t2 = (delta**2 + d0**2 - R**2) / (2.0 * delta * d0)
     t2 = math.acos(max(-1.0, min(1.0, cos_t2)))
@@ -159,6 +181,8 @@ def incoming_angular(d0, alpha, delta, L, R):
 def _exit_chord(r0, theta, R):
     """Exit distance and half chord of the disk for a user at r0 heading at
     theta from the outward radial direction."""
+    if r0 > R:
+        raise ValueError(f"r0={r0} lies outside the disk of radius {R}")
     half = math.sqrt(R * R - (r0 * math.sin(theta)) ** 2)
     return half - r0 * math.cos(theta), half
 
@@ -167,7 +191,7 @@ def return_angular(r0, alpha, delta, L, R):
     """Integral over the heading theta in [0, pi] of the probability that a
     flight from r0 inside the disk leaves it, re-enters the macro disk
     antipodally and ends back inside the disk, by adaptive quadrature in
-    theta."""
+    theta, with its error."""
 
     def kernel(theta):
         exit_, half = _exit_chord(r0, theta, R)
@@ -177,9 +201,25 @@ def return_angular(r0, alpha, delta, L, R):
     return _quad(kernel, 0.0, math.pi, (0.5 * math.pi,))
 
 
-def crossing_oracle(alpha, delta, L, R):
-    """(p_in, p_out) for the disk of radius R by nested adaptive quadrature
-    over (distance, angle) with scalar integrands and ``zeta_series``."""
+def _radial(angular, a, b, points):
+    """(integral, error) over [a, b] of the nested integrand ``angular(x)``
+    = (value, error): the outer estimate plus (b - a) times the largest
+    inner error seen."""
+    worst = [0.0]
+
+    def integrand(x):
+        value, err = angular(x)
+        worst[0] = max(worst[0], err)
+        return value
+
+    value, err = _quad(integrand, a, b, points, 1e-12)
+    return value, err + (b - a) * worst[0]
+
+
+def outgoing_oracle(alpha, delta, L, R):
+    """(p_out, error) for the disk of radius R by nested adaptive quadrature
+    over the user's distance r0 from the center and heading, with scalar
+    integrands and ``zeta_series``."""
 
     def outgoing(r0):
         # exit minus antipodal re-entry for a user at r0
@@ -188,16 +228,32 @@ def crossing_oracle(alpha, delta, L, R):
 
         cos_t1 = (R * R - r0 * r0 - delta * delta) / (2.0 * delta * r0)
         t1 = math.acos(max(-1.0, min(1.0, cos_t1)))
-        exits = _quad(kernel, 0.0, math.pi, (t1, 0.5 * math.pi))
-        return r0 * (exits - return_angular(r0, alpha, delta, L, R))
+        exits, err_exits = _quad(kernel, 0.0, math.pi, (t1, 0.5 * math.pi))
+        back, err_back = return_angular(r0, alpha, delta, L, R)
+        return r0 * (exits - back), r0 * (err_exits + err_back)
+
+    # the heading integrals kink in r0 where the exit or a re-entry window
+    # edge meets delta at heading 0 or pi
+    points = [R - delta, delta - R] + [
+        abs(2.0 * m * L - delta + sign * R)
+        for m in range(1, int((delta + R) / (2.0 * L)) + 2) for sign in (-1.0, 1.0)
+    ]
+    value, err = _radial(outgoing, 0.0, R, points)
+    norm = 2.0 / (math.pi * R * R)
+    return norm * value, norm * err
+
+
+def incoming_oracle(alpha, delta, L, R):
+    """(p_in, error) for the disk of radius R by nested adaptive quadrature
+    over the user's distance d0 from the center and ray angle."""
 
     def incoming(d0):
-        return d0 * incoming_angular(d0, alpha, delta, L, R)
+        value, err = incoming_angular(d0, alpha, delta, L, R)
+        return d0 * value, d0 * err
 
-    p_out = 2.0 / (math.pi * R * R) * _quad(outgoing, 0.0, R, (R - delta, delta - R), 1e-12)
-    points = (delta - R, math.hypot(delta, R), delta + R)
-    p_in = 2.0 / (math.pi * (L * L - R * R)) * _quad(incoming, R, L, points, 1e-12)
-    return p_in, p_out
+    value, err = _radial(incoming, R, L, (delta - R, math.hypot(delta, R), delta + R))
+    norm = 2.0 / (math.pi * (L * L - R * R))
+    return norm * value, norm * err
 
 
 # ------------------------------------------------------------ SINR

@@ -46,7 +46,7 @@ def test_crossing_table_has_both_engines(tmp_path, config_file):
     status = main([
         "--scenario", "crossing", "--config", str(config_file),
         "--sweep", "delta=30", "--steps", "4000", "--replications", "2",
-        "--warmup", "0", "--seed", "3", "--out", str(tmp_path),
+        "--seed", "3", "--out", str(tmp_path),
     ])
     assert status == 0
     header, rows = _read_table(tmp_path / "crossing.csv")
@@ -74,7 +74,7 @@ def test_reruns_are_byte_identical_without_timestamp(tmp_path, config_file):
     args = [
         "--scenario", "crossing", "--config", str(config_file),
         "--sweep", "delta=30", "--steps", "2000", "--replications", "2",
-        "--warmup", "0", "--seed", "4", "--no-header-timestamp",
+        "--seed", "4", "--no-header-timestamp",
     ]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
@@ -107,7 +107,7 @@ def test_records_format_emits_jsonl(tmp_path, config_file):
 def test_figure12_columns_monotone(tmp_path, config_file):
     status = main([
         "--scenario", "figure12", "--config", str(config_file),
-        "--steps", "4000", "--replications", "2", "--warmup", "0",
+        "--steps", "4000", "--replications", "2",
         "--seed", "8", "--out", str(tmp_path),
     ])
     assert status == 0
@@ -169,13 +169,13 @@ def test_occupancy_trace_flag_writes_positions(tmp_path, config_file):
     trace = tmp_path / "trace.csv"
     status = main([
         "--scenario", "occupancy", "--config", str(config_file),
-        "--sweep", "delta=30", "--steps", "30", "--warmup", "10",
+        "--sweep", "delta=30", "--steps", "20",
         "--replications", "1", "--trace", str(trace), "--out", str(tmp_path),
     ])
     assert status == 0
     lines = trace.read_text().splitlines()
     assert lines[0] == "step,user,rho,theta"
-    assert len(lines) == 1 + 20 * 500         # (steps - warmup) x users
+    assert len(lines) == 1 + 20 * 500         # steps x users
 
 
 def test_trace_rows_match_the_per_user_writer():
@@ -212,7 +212,7 @@ def test_live_mc_metrics_skip_crossing_quadrature(tmp_path, config_file, monkeyp
 
     for module in (cli, interference, montecarlo):
         monkeypatch.setattr(module, "crossing_probabilities", no_quadrature)
-    effort = ["--steps", "20", "--warmup", "5", "--replications", "2",
+    effort = ["--steps", "15", "--replications", "2",
               "--config", str(config_file)]
     live = ["--engine", "mc", "--mode", "live", *effort]
     stationary = ["--engine", "both", "--mode", "stationary", *effort]
@@ -256,7 +256,7 @@ def test_kappa_sweep_samples_once(tmp_path, config_file, monkeypatch, mode, samp
                         lambda *args, **kwargs: counted.append(1) or draw(*args, **kwargs))
     status = main([*sweep, "--engine", "mc", "--mode", mode,
                    "--replications", "2", "--steps", "10",
-                   "--warmup", "0", "--config", str(config_file), "--out", str(tmp_path)])
+                   "--config", str(config_file), "--out", str(tmp_path)])
     assert status == 0
     assert len(counted) == calls
 
@@ -264,7 +264,7 @@ def test_kappa_sweep_samples_once(tmp_path, config_file, monkeypatch, mode, samp
 def test_mc_interference_honours_mode_flag(tmp_path, config_file):
     status = main([
         "--scenario", "interference", "--config", str(config_file), "--engine", "mc",
-        "--mode", "stationary", "--sweep", "delta=30", "--steps", "200", "--warmup", "0",
+        "--mode", "stationary", "--sweep", "delta=30", "--steps", "200",
         "--replications", "2", "--out", str(tmp_path),
     ])
     assert status == 0
@@ -279,7 +279,7 @@ def test_run_leaves_the_manifest_unchanged(tmp_path, config_file):
 
     manifest = RunManifest(
         scenario="figure12", config_path=str(config_file), out_dir=str(tmp_path),
-        engine="mc", mode="live", replications=2, steps=10, warmup=0, kappa=0.5,
+        engine="mc", mode="live", replications=2, steps=10, kappa=0.5,
     )
     given = replace(manifest)
     assert run(manifest) == 0
@@ -313,7 +313,7 @@ def test_trace_refused_without_occupancy_monte_carlo(tmp_path, config_file, caps
 def test_interference_checks_both_cell_types(tmp_path, config_file):
     status = main([
         "--scenario", "interference", "--config", str(config_file), "--sweep", "delta=30",
-        "--steps", "400", "--warmup", "0", "--replications", "4", "--seed", "2",
+        "--steps", "400", "--replications", "4", "--seed", "2",
         "--out", str(tmp_path),
     ])
     assert status == 0

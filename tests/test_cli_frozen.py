@@ -1,57 +1,12 @@
 """Frozen CLI outputs: a fixed set of in-process invocations must give the
 same exit codes, console lines, tables and summaries, byte for byte.
 
-The expected outputs in ``cli_frozen.json`` were recorded before the CLI's
-scenario code was rewritten around one scenario table and one metric
-evaluator.  Summaries are compared without ``elapsed_seconds`` (a
-timing) and without the ``interference:osg_mean`` checks, which were added
-after the recording; the trace file is compared by its SHA-256.  One part
-was re-recorded since: the ``crossing-both`` summary, when the crossing
-checks began to floor the Monte Carlo SE at the binomial SE of the
-analytic value (its p_in checks at delta 5 and 30 had failed on SE 0, and
-its delta 100 checks had been dropped); its table is unchanged.  The
-tables of eight cases (``density-both``, ``figure12-records``, ``figure7``,
-``interference-stationary``, ``occupancy-analytic-records``,
-``occupancy-trace``, ``rate-bits-ptm`` and ``success-both``) were
-re-recorded when p_in began to follow from p_out by detailed balance:
-only analytic columns and the gaps built from them moved, in their last
-printed digits (every analytic value by at most 1e-9 relative), toward
-the exact stationary weight R**2/L**2.  The live Monte Carlo outputs of
-four cases (the ``interference-live-mc``, ``rate-live-records`` and
-``density-live-bits`` tables and the ``occupancy-trace`` trace hash) were
-re-recorded when the flight stepper moved to Cartesian coordinates: its
-re-entry map is expanding, so the stepper's new rounding moves a few
-users by up to metres within these 40 steps.  Crossing, analytic,
-stationary and occupancy-count outputs stayed byte-identical.  The
-``occupancy-analytic-records`` table was re-recorded when the occupancy
-moments began to take the weight R**2/L**2 itself rather than the ratio of
-a crossing pair: five full-precision values moved by one ulp each, to the
-N*eta and N*eta*(1 - eta) that now print alike at every delta.  Five
-cases were re-recorded when one Monte Carlo sampler began to serve both
-modes in squared distance: the ``interference-live-mc`` table and the
-``occupancy-trace`` table and trace hash because warm-up steps no longer
-fly (each now equals the earlier run with ``--steps 30 --warmup 0``), the
-``rate-live-records`` and ``density-live-bits`` tables because live
-serving-link fading is drawn after the samples, and the stationary
-``figure12-records`` table, whose Monte Carlo values moved by at most
-2e-15 relative with the d**2 law.  Of the summaries only that of
-``occupancy-trace`` moved: it records its mean check as failed (gap 0.12
-at SE 0.033), which the earlier run with ``--warmup 0`` also did; a
-3-SE bound on 2 replications fails at about a fifth of all seeds (36 of
-seeds 0-199 with this code, 42 before it).  Seven cases were re-recorded
-when both cell types began to score one snapshot of ring and inner users
-and a density sweep began to run once per user count: the Monte Carlo
-columns of the ``density-both``, ``density-live-bits``,
-``figure12-records``, ``interference-live-mc``,
-``interference-stationary``, ``rate-bits-ptm`` and ``rate-live-records``
-tables were re-drawn, and so were the checks built from them in the
-``interference-stationary`` and ``rate-bits-ptm`` summaries (the former
-now stores its ``interference:osg_mean`` checks too, still left out of
-the comparison).  The ``rate_analytic`` fields of the ``figure12-records``
-table were re-recorded when the rate integral moved from adaptive
-quadrature to one fixed Gauss-Legendre rule: they moved by at most 2e-12
-relative, each to within its stated error of the tail-integral route of
-``oracles.rate_oracle``.
+``cli_frozen.json`` holds, per case, the exit status, stdout, stderr,
+every table file and ``summary.json``, with the temporary directory
+written as ``{tmp}``.  Summaries are compared without ``elapsed_seconds``
+(a timing) and without the ``interference:osg_mean`` checks, which some
+recordings predate; the ``--trace`` file is compared by its SHA-256.
+Every re-recording, and why its values moved, is logged in ``CHANGES.md``.
 """
 import hashlib
 import json
@@ -63,11 +18,12 @@ from hetnet_uplink.cli import main
 
 EXPECTED = Path(__file__).parent / "cli_frozen.json"
 
-MC = ["--steps", "40", "--warmup", "10", "--replications", "2", "--seed", "5"]
+EFFORT = ["--replications", "2", "--seed", "5"]
+MC = ["--steps", "30", *EFFORT]
 
 # name -> (argv after --config/--out, config file text)
 CASES = {
-    "crossing-both": (["--scenario", "crossing", *MC], None),
+    "crossing-both": (["--scenario", "crossing", "--steps", "40", *EFFORT], None),
     "occupancy-trace": (["--scenario", "occupancy", "--sweep", "delta=30", *MC,
                          "--trace", "{tmp}/trace.csv"], None),
     "occupancy-analytic-records": (["--scenario", "occupancy", "--engine", "analytic",
@@ -94,8 +50,7 @@ CASES = {
     "unknown-scenario": (["--scenario", "figure99"], None),
     "bad-config": (["--scenario", "crossing"], "R_I = 700\n"),
     "sweep-mismatch": (["--scenario", "occupancy", "--sweep", "kappa=0.5"], None),
-    "mc-plan-error": (["--scenario", "success", "--engine", "mc", "--steps", "40",
-                       "--warmup", "50"], None),
+    "mc-plan-error": (["--scenario", "success", "--engine", "mc", "--steps", "0"], None),
 }
 
 CONFIG = "N = 200\ndelta = 30\ncell_type = CSG\n"

@@ -66,7 +66,7 @@ def test_validate_names_each_violation():
         (NetworkConfig(R=130.0), False),           # R < R_I
         (NetworkConfig(L=100.0), False),           # R_I < L
         (NetworkConfig(alpha=-0.1), False),
-        (NetworkConfig(T_s=0.0), False),
+        (NetworkConfig(delta=0.0), False),
         (NetworkConfig(alpha=2.5), True),          # warns, does not reject
     ],
 )
@@ -103,7 +103,6 @@ def test_load_config_roundtrip(tmp_path):
         N = 2000
         alpha = 0.6
         delta = 30
-        T_s = 1.0
         cell_type = OSG
         P_t_m_dbm = 20
         P_t_h_dbm = -3
@@ -123,6 +122,7 @@ def test_load_config_roundtrip(tmp_path):
 
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("shadowing = 8\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        load_config(path)
+    for line in ("shadowing = 8\n", "T_s = 1.0\n"):      # T_s: a flight period no model reads
+        path.write_text(line)
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)

@@ -3,26 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from hetnet_uplink import (
-    NetworkConfig,
-    crossing_probabilities,
-    exit_distance,
-    return_correction,
-)
-from hetnet_uplink.crossing import _outgoing, _reentry_series, _return_angular, _return_correction
+from hetnet_uplink import NetworkConfig, crossing_probabilities
+from hetnet_uplink.crossing import _outgoing, _reentry_series
 from hetnet_uplink.mobility import sample_direction, sample_flight_length
 
-from oracles import crossing_oracle, hurwitz_series, return_angular, trace_flight
+from oracles import (
+    _exit_chord,
+    incoming_oracle,
+    outgoing_oracle,
+    second_difference_series,
+    trace_flight,
+)
+
+
+def _reentry(cfg):
+    """The re-entry part of p_out at the cell."""
+    return _outgoing(cfg.alpha, cfg.delta, cfg.L, cfg.R)[1]
 
 
 # ---------------------------------------------------------------- geometry
 
 def test_exit_distance_reference_points():
-    assert exit_distance(0.0, 1.2, 60.0) == pytest.approx(60.0)
-    assert exit_distance(30.0, 0.0, 60.0) == pytest.approx(30.0)
-    assert exit_distance(30.0, math.pi, 60.0) == pytest.approx(90.0)
+    assert _exit_chord(0.0, 1.2, 60.0)[0] == pytest.approx(60.0)
+    assert _exit_chord(30.0, 0.0, 60.0)[0] == pytest.approx(30.0)
+    assert _exit_chord(30.0, math.pi, 60.0)[0] == pytest.approx(90.0)
     with pytest.raises(ValueError):
-        exit_distance(61.0, 0.0, 60.0)
+        _exit_chord(61.0, 0.0, 60.0)
 
 
 def test_circle_equation_residuals_randomized():
@@ -31,57 +37,63 @@ def test_circle_equation_residuals_randomized():
     for _ in range(2000):
         r0 = rng.random() * R
         th = rng.random() * math.pi
-        rt = exit_distance(r0, th, R)
+        rt = _exit_chord(r0, th, R)[0]
         residual = (r0 + rt * math.cos(th)) ** 2 + (rt * math.sin(th)) ** 2 - R * R
         assert abs(residual) < 1e-9 * R * R
 
 
 # ---------------------------------------------------------------- series
 
-def _series(a, b, period, alpha, delta):
-    value, bound = _reentry_series(
-        np.array([a]), np.array([b]), np.array([period]), alpha, delta
-    )
+def _series(c, period, alpha, delta):
+    value, bound = _reentry_series(np.array([c]), np.array([period]), alpha, delta)
     return float(value[0]), float(bound[0])
 
 
 def test_series_terms_positive_decreasing_with_power_decay():
-    # direct probe of the series kernel: windows (a + m p, b + m p)
-    a, b, period, alpha, delta = 50.0, 150.0, 1000.0, 0.6, 30.0
-    xa = a + period * np.arange(1, 2001)
-    xb = b + period * np.arange(1, 2001)
-    terms = (delta / xa) ** alpha - (delta / xb) ** alpha
+    # direct probe of the series: terms -Delta2 Sigma(m p; c), all past delta,
+    # from the power part delta**alpha * x**(1 - alpha) / (1 - alpha) of Sigma
+    c, period, alpha, delta = 100.0, 1000.0, 0.6, 30.0
+    y = period * np.arange(1, 2001)
+    beta, h = 1.0 - alpha, c / y
+    terms = -delta**alpha * y**beta / beta * (
+        np.expm1(beta * np.log1p(h)) + np.expm1(beta * np.log1p(-h))
+    )
     assert np.all(terms > 0)
     assert np.all(np.diff(terms) < 0)
     # tail decay like m**-(1+alpha): halving ratio approaches 2**-(1+alpha)
     for m in (200, 500, 1000):
         ratio = terms[2 * m - 1] / terms[m - 1]
         assert ratio == pytest.approx(2.0 ** -(1.0 + alpha), rel=2e-3)
-    # the helper sums the whole series: the Hurwitz zeta difference
-    got, _ = _series(a, b, period, alpha, delta)
-    assert got == pytest.approx(hurwitz_series(a, b, period, alpha, delta), rel=1e-12)
+    # the helper sums the whole series: the Hurwitz zeta second difference
+    got, _ = _series(c, period, alpha, delta)
+    assert got == pytest.approx(second_difference_series(c, period, alpha, delta), rel=1e-12)
+    assert got > terms.sum()
 
 
-@pytest.mark.parametrize("alpha", [0.53, 0.6, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.8])
+@pytest.mark.parametrize("alpha", [0.53, 0.6, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.8, 2.0])
 def test_series_matches_hurwitz_zeta_across_alpha(alpha):
+    # the series is c times a probability: within 1e-14 of it per chord
     windows = [
-        (50.0, 150.0, 1000.0, 30.0),        # forward entry window
-        (-560.0, -440.0, 993.0, 30.0),      # backward window
-        (-119.0, 119.0, 990.0, 150.0),      # return window through the cell
-        (1.0, 2.0, 1000.0, 1.0),            # thin window, tiny basic step
-        (10.0, 130.0, 970.0, 1200.0),       # first floors below delta
-        (-300.0, -200.0, 980.0, 5000.0),    # the first five windows are empty
+        (100.0, 1000.0, 30.0),      # short chord, every window past delta
+        (238.0, 990.0, 150.0),      # chord near the cell's diameter
+        (1.0, 1000.0, 1.0),         # thin chord, tiny basic step
+        (120.0, 970.0, 1200.0),     # the first windows straddle delta
+        (200.0, 990.0, 800.0),      # the first window's lower edge meets delta
+        (100.0, 980.0, 5000.0),     # the first four windows are empty
+        (100.0, 980.0, 1e5),        # more empty windows than explicit terms
+        (960.0, 1000.0, 30.0),      # chord nearly as long as the period
+        (1e-6, 999.0, 30.0),        # chord near the tangent
     ]
-    for a, b, period, delta in windows:
-        exact = hurwitz_series(a, b, period, alpha, delta)
-        got, bound = _series(a, b, period, alpha, delta)
-        assert got == pytest.approx(exact, rel=1e-12)
-        assert bound <= 1e-12 * exact
+    for c, period, delta in windows:
+        exact = second_difference_series(c, period, alpha, delta)
+        got, bound = _series(c, period, alpha, delta)
+        assert abs(got - exact) <= 1e-14 * c
+        assert bound <= 1e-13 * exact
 
 
 def test_return_correction_vanishes_in_huge_domain():
     cfg = NetworkConfig(L=60.0 * 10**6, R=60.0, R_I=120.0, delta=30.0)
-    assert return_correction(cfg) < 1e-9
+    assert 0.0 <= _reentry(cfg) < 1e-9
 
 
 # ------------------------------------------------------- outgoing / incoming
@@ -93,13 +105,12 @@ def big_step_cfg():
 
 def test_outgoing_is_one_minus_reentry_when_step_exceeds_diameter(big_step_cfg):
     cfg = big_step_cfg
-    p_out = crossing_probabilities(cfg).p_out
-    p_re = return_correction(cfg)
-    assert p_out == 1.0 - p_re
-    assert p_re > 0.0
+    direct, reentry, _ = _outgoing(cfg.alpha, cfg.delta, cfg.L, cfg.R)
+    assert crossing_probabilities(cfg).p_out == direct - reentry
+    assert reentry > 0.0
     # from delta = 2R on, every flight from inside the cell leaves it directly
     for delta in (2.0 * cfg.R, cfg.delta):
-        assert _outgoing(cfg.alpha, delta, cfg.L, cfg.R) == (1.0, 0.0)
+        assert _outgoing(cfg.alpha, delta, cfg.L, cfg.R)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def _mc_crossing(cfg, seed, r_disk=None):
@@ -129,7 +140,7 @@ def test_incoming_small_step_small_positive_and_matches_mc():
 
 def test_reentry_correction_matches_mc_event_frequency(big_step_cfg):
     cfg = big_step_cfg
-    p_re = return_correction(cfg)
+    p_re = _reentry(cfg)
     rng = np.random.default_rng(7)
     n = 10**6
     rho = cfg.R * np.sqrt(rng.random(n))
@@ -208,14 +219,25 @@ def test_flux_identity_holds_to_quadrature_accuracy(delta):
         assert abs(cp.p_in / (cp.p_in + cp.p_out) - target) <= 1e-12 * target
 
 
-@pytest.mark.parametrize("delta, radius", [(30.0, 60.0), (150.0, 120.0)])
+@pytest.mark.parametrize("delta, radius", [(1.0, 120.0), (30.0, 60.0), (150.0, 120.0),
+                                           (800.0, 120.0), (1200.0, 120.0)])
 def test_error_estimate_bounds_the_nested_adaptive_oracle(delta, radius):
+    # the oracle integrates over distance and heading, with window kinks
+    # at delta >= 2 (L - r) = 760 that the chord route splits in closed form
     cfg = NetworkConfig(delta=delta)
     cp = crossing_probabilities(cfg, radius)
-    p_in, p_out = crossing_oracle(cfg.alpha, delta, cfg.L, radius)
-    assert abs(cp.p_in - p_in) <= cp.abs_error_estimate
-    assert abs(cp.p_out - p_out) <= cp.abs_error_estimate
-    assert cp.abs_error_estimate <= 1e-7
+    p_out, err = outgoing_oracle(cfg.alpha, delta, cfg.L, radius)
+    assert abs(cp.p_out - p_out) <= cp.abs_error_estimate + err
+    assert cp.abs_error_estimate <= 1e-9
+
+
+@pytest.mark.parametrize("delta, radius", [(30.0, 60.0), (150.0, 120.0)])
+def test_incoming_matches_the_nested_adaptive_oracle(delta, radius):
+    # p_in by its own integral over the start outside the disk, not by balance
+    cfg = NetworkConfig(delta=delta)
+    cp = crossing_probabilities(cfg, radius)
+    p_in, err = incoming_oracle(cfg.alpha, delta, cfg.L, radius)
+    assert abs(cp.p_in - p_in) <= cp.abs_error_estimate + err
 
 
 def test_probabilities_continuous_across_alpha_one():
@@ -225,15 +247,6 @@ def test_probabilities_continuous_across_alpha_one():
         cp = crossing_probabilities(NetworkConfig(alpha=alpha))
         assert cp.p_in == pytest.approx(at_one.p_in, rel=1e-8)
         assert cp.p_out == pytest.approx(at_one.p_out, rel=1e-8)
-
-
-@pytest.mark.parametrize("delta", [150.0, 1200.0])
-@pytest.mark.parametrize("r0", [100.0, 119.0])
-def test_return_angular_integral_matches_oracle(r0, delta):
-    # at delta = 1200 the edges of the first re-entry window cross the
-    # basic step inside (0, pi): kinks the angular panels must split at
-    value, _ = _return_angular(r0, 0.6, delta, 500.0, 120.0)
-    assert value == pytest.approx(return_angular(r0, 0.6, delta, 500.0, 120.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("radius", [400.0, 480.0])
@@ -250,6 +263,6 @@ def test_wide_disk_probabilities_match_flights(radius):
 
 def test_memoization_reuses_results(desk_cfg):
     crossing_probabilities(desk_cfg)
-    hits_before = _return_correction.cache_info().hits
+    hits_before = _outgoing.cache_info().hits
     crossing_probabilities(desk_cfg)
-    assert _return_correction.cache_info().hits > hits_before
+    assert _outgoing.cache_info().hits > hits_before

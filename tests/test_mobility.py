@@ -7,14 +7,13 @@ from scipy import stats
 from hetnet_uplink import (
     NetworkConfig,
     advance,
-    exit_distance,
     sample_direction,
     sample_flight_length,
     uniformity_test,
 )
 from hetnet_uplink.mobility import equal_area_bins
 
-from oracles import trace_flight
+from oracles import _exit_chord, trace_flight
 
 L = 500.0
 EPS = np.finfo(float).eps
@@ -130,7 +129,7 @@ def test_composition_of_short_flights():
         rho, theta = 0.8 * L * math.sqrt(rng.random()), rng.random() * 2 * math.pi
         x, y = rho * math.cos(theta), rho * math.sin(theta)
         direction = rng.random() * 2 * math.pi
-        total = 0.9 * exit_distance(rho, direction - theta, L)   # stays inside the disk
+        total = 0.9 * _exit_chord(rho, direction - theta, L)[0]   # stays inside the disk
         a = total * rng.random()
         one = advance(x, y, total, direction, L)
         mid = advance(x, y, a, direction, L)
