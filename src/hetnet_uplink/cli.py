@@ -14,7 +14,10 @@ Figure aliases bundle a scenario with a documented parameter grid:
             weight R_I**2/L**2 does not depend on delta)
   figure10  rate vs kappa, closed cell, delta=3
   figure11  rate vs kappa, open cell, delta=3
-  figure12  success and rate vs user count {500,1000,2000,4000}
+  figure12  success and rate vs user count {500,1000,2000,4000}; the
+            Monte Carlo N-user snapshots are the first N users of one
+            4000-user draw (common random numbers across N), so the MC
+            rows fall with N sample by sample
 
 Desk-scale Monte Carlo effort is the default; ``--full-scale`` switches
 to full-size runs (a long wait, announced loudly).
@@ -231,27 +234,28 @@ def _interference_rows(scenario, manifest, cfg, ch, analytic, plan):
 
 
 def _sinr_metrics(manifest, ch, analytic, plan):
-    """Evaluator of the SINR metrics over a set of (kappa, cell type) points.
+    """Evaluator of the SINR metrics over configs and (kappa, cell type) points.
 
-    ``metrics(c, points, names)`` gives, for each (kappa, cell type) in
-    ``points``, a map from each name in ``names`` ("success", "rate") to
-    (analytic value, MC value, MC SE) for a home user at that kappa in a
-    cell of that type; None where an engine is off, rates in
-    ``--rate-units``.  All points of one call are scored by one ``run_sinr``
-    call on one set of snapshots (common random numbers): a kappa sweep, or
-    both cell types at one user count, samples the interference once, and a
-    live one steps the population once.  The analytic engine and stationary
-    Monte Carlo weigh the interferer count by R_I**2/L**2, so no crossing
-    point is computed.
+    ``metrics(configs, points, names)`` gives, for each config in
+    ``configs`` (one, or a user-count grid: configs that differ only in N)
+    and each (kappa, cell type) in ``points``, a map from each name in
+    ``names`` ("success", "rate") to (analytic value, MC value, MC SE) for a
+    home user at that kappa in a cell of that type; None where an engine is
+    off, rates in ``--rate-units``.  All configs and points of one call are
+    scored by one ``run_sinr`` call on one set of snapshots (common random
+    numbers): a kappa sweep, or both cell types over a whole user-count
+    grid, samples the interference once, and a live one steps the
+    population once.  The analytic engine and stationary Monte Carlo weigh
+    the interferer count by R_I**2/L**2, so no crossing point is computed.
     """
     threshold = db_to_linear(manifest.threshold_db)
     scale = {"success": 1.0, "rate": 1.0 if manifest.rate_units == "nats" else 1.0 / LN2}
 
-    def metrics(c, points, names):
+    def metrics(configs, points, names):
         queries = [PerformanceQuery(kappa=k, threshold=threshold, cell_type=cell)
                    for k, cell in points]
 
-        def analytic_values(query):
+        def analytic_values(c, query):
             if not analytic:
                 return {}
             if names == ("success",):
@@ -259,14 +263,15 @@ def _sinr_metrics(manifest, ch, analytic, plan):
             res = evaluate(query, c, ch)
             return {"success": res.success_probability, "rate": scale["rate"] * res.average_rate}
 
-        values = [analytic_values(query) for query in queries]
-        estimates = [(None, None)] * len(queries)
+        values = [[analytic_values(c, query) for query in queries] for c in configs]
+        estimates = [[(None, None)] * len(queries)] * len(configs)
         if plan:
-            estimates = run_sinr(plan, c, ch, queries, mode=manifest.mode)
+            estimates = run_sinr(plan, configs, ch, queries, mode=manifest.mode)
         return [
-            {name: (v.get(name), *_mc(e, scale[name]))
-             for name, e in zip(("success", "rate"), est) if name in names}
-            for v, est in zip(values, estimates)
+            [{name: (v.get(name), *_mc(e, scale[name]))
+              for name, e in zip(("success", "rate"), est) if name in names}
+             for v, est in zip(row_values, row_estimates)]
+            for row_values, row_estimates in zip(values, estimates)
         ]
 
     return metrics
@@ -279,10 +284,11 @@ def _metric_rows(scenario, manifest, cfg, ch, analytic, plan):
     metrics = _sinr_metrics(manifest, ch, analytic, plan)
     cell = cfg.cell_type
     if axis == "delta":
-        results = [metrics(replace(cfg, delta=float(v)), [(manifest.kappa, cell)], (scenario,))[0]
+        results = [metrics([replace(cfg, delta=float(v))], [(manifest.kappa, cell)],
+                           (scenario,))[0][0]
                    for v in grid]
     else:
-        results = metrics(cfg, [(float(v), cell) for v in grid], (scenario,))
+        results = metrics([cfg], [(float(v), cell) for v in grid], (scenario,))[0]
     rows, checks = [], []
     for value, m in zip(grid, results):
         a, mc, se = m[scenario]
@@ -299,16 +305,19 @@ def _metric_rows(scenario, manifest, cfg, ch, analytic, plan):
 
 
 def _density_rows(scenario, manifest, cfg, ch, analytic, plan):
-    """Success and rate over user counts, for both cell types."""
+    """Success and rate over user counts, for both cell types, in one
+    ``metrics`` call: the Monte Carlo N-user snapshots are prefixes of the
+    largest population, so the MC rows fall with N sample by sample."""
     metrics = _sinr_metrics(manifest, ch, analytic, plan)
     rows, checks = [], []
     series: dict = {}
     cells = (CellType.CSG, CellType.OSG)
-    for n in manifest.sweep[1]:
-        both = metrics(replace(cfg, N=int(n)), [(manifest.kappa, cell) for cell in cells],
-                       ("success", "rate"))
+    counts = [int(n) for n in manifest.sweep[1]]
+    results = metrics([replace(cfg, N=n) for n in counts],
+                      [(manifest.kappa, cell) for cell in cells], ("success", "rate"))
+    for n, both in zip(counts, results):
         for cell, m in zip(cells, both):
-            row = {"n_users": int(n), "cell_type": cell.value}
+            row = {"n_users": n, "cell_type": cell.value}
             row.update({f"{name}_analytic": a for name, (a, _, _) in m.items()})
             for name, (a, value, se) in m.items():
                 row[f"{name}_mc"], row[f"{name}_se"] = value, se

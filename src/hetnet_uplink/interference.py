@@ -14,8 +14,10 @@ balance; a pair passed explicitly sets eta instead.
 MGF evaluation is restricted to s <= 0: all consumers evaluate at
 negative arguments and the MGF need not exist for s > 0.  The MGFs take
 arrays of s; away from the closed forms at beta = 2 and 4 they run on the
-fixed Gauss-Legendre rule of ``crossing``.  Moments come from closed
-forms, never from positive-s derivatives.
+fixed Gauss-Legendre rule of ``crossing``, in panels of ln d that narrow
+as 1/beta: the kernel d**2/(d**beta - c) turns over within about 1/beta
+in ln d.  Moments come from closed forms, never from positive-s
+derivatives.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .crossing import crossing_probabilities  # noqa: F401  (bench/tracing.py wr
 from .occupancy import occupancy_pgf
 
 BETA_TOL = 1e-9
-MGF_PANEL = 2.0         # width in v = ln d of the rule's panels, beta not 2 or 4
+MGF_PANEL = 15.0        # width in beta * ln d of the rule's panels, beta not 2 or 4
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ def interferer_mgf(s, ch: ChannelConfig, cell_type: CellType, R: float, R_I: flo
             return np.divide(np.exp(2.0 * v), den, out=den), 0.0
 
         v_lo, v_hi = math.log(lo), math.log(hi)
-        edges = np.linspace(v_lo, v_hi, math.ceil((v_hi - v_lo) / MGF_PANEL) + 1)
+        edges = np.linspace(v_lo, v_hi, math.ceil(ch.beta * (v_hi - v_lo) / MGF_PANEL) + 1)
         g = 1.0 + 2.0 * c / area * _gauss_legendre(kernel, edges)[0]
     return g if g.ndim else float(g)
 

@@ -16,6 +16,13 @@ closed forms; ``live`` mode takes it from a mobile population, which also
 captures whatever those assumptions miss.  Distances stay squared: a point
 uniform on an annulus has d**2 uniform on [r_lo**2, r_hi**2].
 
+A user-count grid is one nested draw: the N-user snapshot is the first N
+users of the largest population, so the users split into chunks between
+consecutive counts, each chunk's ring and inner powers are summed per
+snapshot as contiguous segments, and a running sum over the chunks gives
+every count (common random numbers across N).  Each sample's
+interference is non-decreasing in N; one N is the one-chunk grid.
+
 Of the ``steps_per_replication`` steps of a plan, the first
 ``warmup_steps`` give no sample.  A live population starts uniform on the
 macro disk, which is already the stationary law of the flights, so no
@@ -27,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,7 +116,10 @@ def _uniform_annulus(rng, n, r_lo, r_hi):
 
     ``bench/tracing.py`` wraps this name and reads its positional n (the
     draw count) and r_lo (nonzero marks a floor redraw only under a live run)."""
-    return r_lo**2 + rng.random(n) * (r_hi**2 - r_lo**2)
+    d2 = rng.random(n)
+    d2 *= r_hi**2 - r_lo**2
+    d2 += r_lo**2
+    return d2
 
 
 def _uniform_positions(rng, n, r_lo, r_hi):
@@ -187,53 +197,78 @@ def run_occupancy(
     )
 
 
-def _stationary_interference(rng, n, cfg, eta):
-    """n snapshots of the interfering disk under the stationary law: a user
+def _stationary_interference(rng, n, cfg, eta, chunks):
+    """n snapshots of the interfering disk under the stationary law, with
+    one count per snapshot and chunk of users: of ``chunks[j]`` users, each
     is in the ring with probability eta*q and inner with eta*(1 - q), so the
-    ring count is Binomial(N, eta*q) and, given it, the inner count is
-    Binomial(N - ring, eta*(1 - q)/(1 - eta*q)).  Ring d**2 is uniform on
-    [R**2, R_I**2], inner d**2 on [0, R**2]."""
+    ring count is Binomial(chunks[j], eta*q) and, given it, the inner count
+    is Binomial(chunks[j] - ring, eta*(1 - q)/(1 - eta*q)).  The counts are
+    (n, J) arrays; ring d**2 is uniform on [R**2, R_I**2], inner d**2 on
+    [0, R**2], and both lists run in (snapshot, chunk) order."""
     q = _ring_weight(cfg)
-    k_ring = rng.binomial(cfg.N, eta * q, n)
-    k_inner = rng.binomial(cfg.N - k_ring, eta * (1.0 - q) / (1.0 - eta * q))
+    k_ring = rng.binomial(chunks, eta * q, (n, chunks.size))
+    k_inner = rng.binomial(chunks - k_ring, eta * (1.0 - q) / (1.0 - eta * q))
     return (_uniform_annulus(rng, int(k_ring.sum()), cfg.R, cfg.R_I),
             _uniform_annulus(rng, int(k_inner.sum()), 0.0, cfg.R), k_ring, k_inner)
 
 
-def _live_snapshots(rng, plan, cfg, size):
-    """Snapshots of a mobile population, one per sampled step, in blocks of
-    up to ``size`` as ``_stationary_interference`` returns them."""
-    steps = ((r2[(r2 >= cfg.R**2) & (r2 < cfg.R_I**2)], r2[r2 < cfg.R**2])
-             for _, _, r2 in _live_steps(rng, plan, cfg))
+def _live_snapshots(rng, plan, cfg, bounds, size):
+    """Snapshots of one mobile population of ``cfg.N`` users, one per
+    sampled step, in blocks of up to ``size`` as ``_stationary_interference``
+    returns them: chunk j holds the users with bounds[j] <= index <
+    bounds[j + 1]."""
+    chunks = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+    def snapshot(r2):
+        ring, inner = (r2 >= cfg.R**2) & (r2 < cfg.R_I**2), r2 < cfg.R**2
+        return (r2[ring], r2[inner], [np.count_nonzero(ring[a:b]) for a, b in chunks],
+                [np.count_nonzero(inner[a:b]) for a, b in chunks])
+
+    steps = (snapshot(r2) for _, _, r2 in _live_steps(rng, plan, cfg))
     while block := list(itertools.islice(steps, size)):
-        ring, inner = zip(*block)
-        yield (np.concatenate(ring), np.concatenate(inner),
-               np.array([a.size for a in ring]), np.array([a.size for a in inner]))
+        ring, inner, k_ring, k_inner = zip(*block)
+        yield np.concatenate(ring), np.concatenate(inner), np.array(k_ring), np.array(k_inner)
 
 
 def _power_sums(rng, d2, counts, ch):
-    """Received power per snapshot of the interferers at squared distances
-    ``d2``, ``counts[i]`` of them in snapshot i, one fading draw each."""
-    power = rng.exponential(ch.P_gamma, d2.size) * ch.P_t_m / d2 ** (ch.beta / 2.0)
-    owner = np.repeat(np.arange(counts.size), counts)
-    return np.bincount(owner, weights=power, minlength=counts.size)
+    """Received power of the interferers at squared distances ``d2``, one
+    fading draw each, summed over consecutive segments of ``counts[i]``
+    interferers (counts of any shape, read in C order; the sums take its
+    shape).  ``d2`` is overwritten."""
+    power = rng.standard_exponential(d2.size)
+    power *= ch.P_gamma
+    power *= ch.P_t_m
+    d2 **= ch.beta / 2.0
+    power /= d2
+    flat = counts.ravel()
+    # reduceat sums one element for an empty segment and rejects a start at
+    # the end of the array, so only the non-empty segments are reduced
+    full = np.flatnonzero(flat)
+    sums = np.zeros(flat.size)
+    sums[full] = np.add.reduceat(power, (np.cumsum(flat) - flat)[full])
+    return sums.reshape(counts.shape)
 
 
-def _interference(rng, plan, cfg, ch, mode, eta):
+def _interference(rng, plan, cfg, ch, mode, eta, users):
     """Total-interference samples of one replication for each cell type,
-    one per sampled step, and the number of floor redraws.  Inner users
-    closer than 1 m are redrawn on [1, R_I]; each user gets one fading
-    draw, shared by both cell types.  Blocks hold about ``BLOCK_DRAWS`` users.
+    one row per sampled step and one column per user count in ``users``
+    (ascending, the last equal to ``cfg.N``), and the number of floor
+    redraws.  An N-user sample holds the first N of the ``cfg.N`` users,
+    so each column adds the next chunk of users to the one before it
+    (common random numbers across the counts).  Inner users closer than 1 m are
+    redrawn on [1, R_I]; each user gets one fading draw, shared by both
+    cell types.  Blocks hold about ``BLOCK_DRAWS`` users.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    bounds = np.array([0, *users])
     n = plan.steps_per_replication - plan.warmup_steps
     size = max(1, int(BLOCK_DRAWS / max(cfg.N * eta, 1.0)))
     if mode == "stationary":
-        blocks = (_stationary_interference(rng, min(size, n - start), cfg, eta)
+        blocks = (_stationary_interference(rng, min(size, n - start), cfg, eta, np.diff(bounds))
                   for start in range(0, n, size))
     else:
-        blocks = _live_snapshots(rng, plan, cfg, size)
+        blocks = _live_snapshots(rng, plan, cfg, bounds, size)
     ring_sums, inner_sums, redrawn = [], [], 0
     for ring, inner, k_ring, k_inner in blocks:
         near = np.flatnonzero(inner < 1.0)
@@ -241,8 +276,9 @@ def _interference(rng, plan, cfg, ch, mode, eta):
         redrawn += near.size
         ring_sums.append(_power_sums(rng, ring, k_ring, ch))
         inner_sums.append(_power_sums(rng, inner, k_inner, ch))
-    osg = np.concatenate(ring_sums)
-    return {CellType.OSG: osg, CellType.CSG: osg + np.concatenate(inner_sums)}, redrawn
+    osg = np.concatenate(ring_sums).cumsum(axis=1)
+    csg = osg + np.concatenate(inner_sums).cumsum(axis=1)
+    return {CellType.OSG: osg, CellType.CSG: csg}, redrawn
 
 
 def run_interference(
@@ -258,8 +294,8 @@ def run_interference(
     n = plan.steps_per_replication - plan.warmup_steps
     stats, resampled = [], 0
     for rng in _substreams(plan.seed, plan.replications):
-        totals, redrawn = _interference(rng, plan, cfg, ch, mode, eta)
-        ic, io = totals[CellType.CSG], totals[CellType.OSG]
+        totals, redrawn = _interference(rng, plan, cfg, ch, mode, eta, [cfg.N])
+        ic, io = totals[CellType.CSG][:, 0], totals[CellType.OSG][:, 0]
         stats.append((ic.mean(), ic.var(ddof=1), io.mean(), io.var(ddof=1)))
         resampled += redrawn
     c_mean, c_var, o_mean, o_var = (_pool(column, n) for column in zip(*stats))
@@ -268,13 +304,13 @@ def run_interference(
 
 def run_sinr(
     plan: ExperimentPlan,
-    cfg: NetworkConfig,
+    cfg: NetworkConfig | Sequence[NetworkConfig],
     ch: ChannelConfig,
     query: PerformanceQuery | Sequence[PerformanceQuery],
     mode: str = "stationary",
     p_in: float | None = None,
     p_out: float | None = None,
-) -> tuple[EstimateWithError, EstimateWithError] | list[tuple[EstimateWithError, EstimateWithError]]:
+) -> tuple[EstimateWithError, EstimateWithError] | list:
     """Empirical success probability and average rate [nats/s] at kappa.
 
     One query gives one (success, rate) pair.  A sequence of queries, of
@@ -282,22 +318,40 @@ def run_sinr(
     draws: the snapshots and serving-link fading of each replication are
     drawn once (common random numbers), so every pair equals its
     single-query run bit for bit.
+
+    ``cfg`` is one config or a sequence of configs that differ only in N,
+    a user-count grid, which gives a list with one such result per config.
+    The grid is one draw: the N-user snapshot of a sample is the first N
+    users of the largest population, so each sample's interference is
+    non-decreasing in N, and so are the pooled success and rate.
     """
     single = isinstance(query, PerformanceQuery)
     queries = [query] if single else list(query)
     if not queries:
         raise ValueError("run_sinr needs at least one query")
-    eta = _eta(cfg, p_in, p_out)
+    one_cfg = isinstance(cfg, NetworkConfig)
+    cfgs = [cfg] if one_cfg else list(cfg)
+    if not cfgs:
+        raise ValueError("run_sinr needs at least one config")
+    largest = max(cfgs, key=lambda c: c.N)
+    if any(replace(c, N=largest.N) != largest for c in cfgs):
+        raise ValueError("the configs of a user-count grid may differ only in N")
+    users = sorted({c.N for c in cfgs})
+    eta = _eta(largest, p_in, p_out)
     n = plan.steps_per_replication - plan.warmup_steps
-    attns = [(target.kappa * cfg.R) ** ch.beta for target in queries]
+    attns = [(target.kappa * largest.R) ** ch.beta for target in queries]
 
-    successes, rates = [[] for _ in queries], [[] for _ in queries]
+    scores = [[([], []) for _ in queries] for _ in users]
     for rng in _substreams(plan.seed, plan.replications):
-        totals, _ = _interference(rng, plan, cfg, ch, mode, eta)
+        totals, _ = _interference(rng, plan, largest, ch, mode, eta, users)
         signal = rng.exponential(ch.P_gamma, n) * ch.P_t_h
-        for target, attn, succ, rate in zip(queries, attns, successes, rates):
-            sinr = signal / attn / (totals[target.cell_type] + ch.noise_power)
-            succ.append(float(np.mean(sinr >= target.threshold)))
-            rate.append(float(ch.W * np.log1p(sinr).mean()))
-    pairs = [(_pool(s, n), _pool(r, n)) for s, r in zip(successes, rates)]
-    return pairs[0] if single else pairs
+        for j, column in enumerate(scores):
+            for target, attn, (succ, rate) in zip(queries, attns, column):
+                sinr = signal / attn / (totals[target.cell_type][:, j] + ch.noise_power)
+                succ.append(float(np.mean(sinr >= target.threshold)))
+                rate.append(float(ch.W * np.log1p(sinr).mean()))
+    results = []
+    for c in cfgs:
+        pairs = [(_pool(s, n), _pool(r, n)) for s, r in scores[users.index(c.N)]]
+        results.append(pairs[0] if single else pairs)
+    return results[0] if one_cfg else results

@@ -234,6 +234,7 @@ def test_live_mc_metrics_skip_crossing_quadrature(tmp_path, config_file, monkeyp
 
 
 KAPPA_SWEEP = ["--scenario", "success", "--sweep", "kappa=0.5,0.9"]
+DENSITY_SWEEP = ["--scenario", "density_sweep", "--sweep", "n=500,1000"]
 
 
 @pytest.mark.parametrize("mode, sampler, calls, sweep", [
@@ -241,10 +242,11 @@ KAPPA_SWEEP = ["--scenario", "success", "--sweep", "kappa=0.5,0.9"]
                  id="live-advance-20"),
     pytest.param("stationary", "_stationary_interference", 2, KAPPA_SWEEP,   # replications
                  id="stationary-_stationary_interference-2"),
-    # replications x user counts: both cell types of one count share its snapshots
-    pytest.param("stationary", "_stationary_interference", 2 * 2,
-                 ["--scenario", "density_sweep", "--sweep", "n=500,1000"],
-                 id="density-stationary-_stationary_interference-4"),
+    # replications: every user count and both cell types share one draw
+    pytest.param("stationary", "_stationary_interference", 2, DENSITY_SWEEP,
+                 id="density-stationary-_stationary_interference-2"),
+    # replications x steps: one population of the largest count
+    pytest.param("live", "advance", 2 * 10, DENSITY_SWEEP, id="density-live-advance-20"),
 ])
 def test_kappa_sweep_samples_once(tmp_path, config_file, monkeypatch, mode, sampler, calls,
                                   sweep):

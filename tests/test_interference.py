@@ -155,6 +155,34 @@ def test_mgf_rule_matches_adaptive_oracle(channel, beta):
         assert got.tolist() == [interferer_mgf(float(x), ch, cell, R, R_I) for x in s]
 
 
+@pytest.mark.parametrize("beta", [2.5, 3.0, 6.0, 8.0])
+@pytest.mark.parametrize("cell", [CellType.CSG, CellType.OSG])
+def test_mgf_panels_exact_where_the_rate_rule_samples(desk_cfg, channel, monkeypatch, beta,
+                                                     cell):
+    # The s values at which evaluate reads the MGF (success and rate rule),
+    # at kappa 0.1, 0.5 and 1.  There the MGF on panels of MGF_PANEL in
+    # beta * ln d is within 1e-13 of the adaptive oracle; a fixed width of 9
+    # in ln d (one panel over ln 120) misses by 1.3e-12 at beta = 7 and
+    # 3.2e-11 at beta = 8.  Panels 4x narrower move no rate by more than its
+    # stated error.
+    from hetnet_uplink import PerformanceQuery, interference, performance
+
+    ch, cfg = replace(channel, beta=beta), replace(desk_cfg, cell_type=cell)
+    seen, mgf = [], performance.total_mgf
+    monkeypatch.setattr(performance, "total_mgf",
+                        lambda s, *args: seen.append(np.ravel(s)) or mgf(s, *args))
+    queries = [PerformanceQuery(kappa, 1e-6, cell) for kappa in (0.1, 0.5, 1.0)]
+    results = [performance.evaluate(q, cfg, ch) for q in queries]
+    s = np.concatenate(seen)[::9]
+    lo = 1.0 if cell is CellType.CSG else R
+    want = np.array([ring_mgf(x, ch, lo, R_I)[0] for x in s])
+    assert np.abs(interferer_mgf(s, ch, cell, R, R_I) - want).max() <= 1e-13
+    monkeypatch.setattr(interference, "MGF_PANEL", interference.MGF_PANEL / 4.0)
+    for q, res in zip(queries, results):
+        finer = performance.evaluate(q, cfg, ch).average_rate
+        assert abs(finer - res.average_rate) <= res.quadrature_error
+
+
 def test_mgf_general_beta_between_closed_forms(channel):
     s = -1.0
     g2 = interferer_mgf(s, replace(channel, beta=2.0), CellType.CSG, R, R_I)

@@ -202,17 +202,55 @@ def test_sinr_curve_tracks_analytic_over_kappa(desk_cfg, channel):
         assert abs(est.value - analytic) <= 0.03
 
 
+N_GRID = (2000, 500, 4000, 1000)          # in no order: results follow the configs
+
+
 def test_sinr_density_sweep_monotone(desk_cfg, channel):
-    plan = _plan(scenario="density_sweep", replications=4,
-                 steps_per_replication=25_000, warmup_steps=0, seed=29)
-    q = PerformanceQuery(kappa=0.9, threshold=T60, cell_type=CellType.CSG)
-    successes, rates = [], []
-    for n in (500, 1000, 2000, 4000):
-        s, r = run_sinr(plan, replace(desk_cfg, N=n), channel, q)
-        successes.append(s.value)
-        rates.append(r.value)
-    assert all(a >= b for a, b in zip(successes, successes[1:]))
-    assert all(a >= b for a, b in zip(rates, rates[1:]))
+    # the N-user snapshot is a prefix of the largest population, so in both
+    # modes each sample's interference is non-decreasing in N, and the
+    # pooled success and rate are non-increasing, exactly
+    users = sorted(N_GRID)
+    queries = [PerformanceQuery(kappa=0.9, threshold=T60, cell_type=cell)
+               for cell in (CellType.CSG, CellType.OSG)]
+    for mode, steps in (("stationary", 5_000), ("live", 150)):
+        plan = _plan(scenario="density_sweep", replications=4, steps_per_replication=steps,
+                     warmup_steps=0, seed=29)
+        totals, _ = montecarlo._interference(
+            np.random.default_rng(29), plan, replace(desk_cfg, N=users[-1]), channel, mode,
+            desk_cfg.R_I**2 / desk_cfg.L**2, users)
+        for cell in (CellType.CSG, CellType.OSG):
+            steps_up = np.diff(totals[cell], axis=1)
+            assert totals[cell].shape == (steps, 4) and np.all(steps_up >= 0.0)
+            assert np.all(steps_up.sum(axis=0) > 0.0)
+        grid = run_sinr(plan, [replace(desk_cfg, N=n) for n in N_GRID], channel, queries, mode)
+        by_n = [pairs for _, pairs in sorted(zip(N_GRID, grid))]
+        for i in range(len(queries)):
+            successes = [pairs[i][0].value for pairs in by_n]
+            rates = [pairs[i][1].value for pairs in by_n]
+            assert all(a >= b for a, b in zip(successes, successes[1:])), mode
+            assert all(a >= b for a, b in zip(rates, rates[1:])), mode
+            assert rates[0] > rates[-1], mode
+
+
+@pytest.mark.parametrize("mode", ["stationary", "live"])
+def test_one_config_grid_is_the_single_config_run(channel, mode):
+    # a single N is the one-chunk grid: no second code path
+    plan = _plan(**FROZEN_PLAN)
+    queries = [PerformanceQuery(kappa=0.9, threshold=FROZEN_THRESHOLD, cell_type=cell)
+               for cell in (CellType.CSG, CellType.OSG)]
+    for query in (queries[0], queries):
+        [grid] = run_sinr(plan, [FROZEN_CFG], channel, query, mode)
+        assert grid == run_sinr(plan, FROZEN_CFG, channel, query, mode)    # exact floats
+
+
+def test_sinr_grid_rejects_configs_that_differ_beyond_n(channel):
+    plan = _plan(**FROZEN_PLAN)
+    q = PerformanceQuery(kappa=0.9, threshold=FROZEN_THRESHOLD)
+    for other in (replace(FROZEN_CFG, N=100, delta=30.0), replace(FROZEN_CFG, R=5.0)):
+        with pytest.raises(ValueError):
+            run_sinr(plan, [FROZEN_CFG, other], channel, q)
+    with pytest.raises(ValueError):
+        run_sinr(plan, [], channel, q)
 
 
 # ---------------------------------------------------------------- protocol
@@ -241,7 +279,9 @@ def test_bit_identical_reruns(desk_cfg, channel):
 # is drawn after the samples.  The interference and SINR values of both
 # modes were re-drawn again when both cell types began to score one
 # snapshot of ring and inner users; stationary runs now count their floor
-# redraws too.
+# redraws too.  Some moved in their last bits when the per-snapshot sums
+# moved from ``np.bincount`` to ``np.add.reduceat``, which sums in another
+# order.
 FROZEN_CFG = NetworkConfig(N=300, L=50.0, R=6.0, R_I=12.0, delta=5.0)
 FROZEN_PLAN = dict(replications=2, steps_per_replication=30, warmup_steps=5, seed=11)
 FROZEN_THRESHOLD = 4e-4
@@ -269,9 +309,9 @@ def test_outputs_frozen_bit_for_bit(channel):
         "live": {
             "interference": (
                 ("0x1.fbbf0b218c11ap-5", "0x1.f9af737956cf0p-8", 50),
-                ("0x1.534e41badca92p-9", "0x1.2b9d793751f02p-10", 50),
+                ("0x1.534e41badca92p-9", "0x1.2b9d793751f01p-10", 50),
                 ("0x1.237fee176bbd5p-6", "0x1.6e058117c830fp-10", 50),
-                ("0x1.497467ab683d2p-14", "0x1.10bd2093748e9p-16", 50),
+                ("0x1.497467ab683d2p-14", "0x1.10bd2093748e4p-16", 50),
                 3,
             ),
             CellType.CSG: (
@@ -280,15 +320,15 @@ def test_outputs_frozen_bit_for_bit(channel):
             ),
             CellType.OSG: (
                 ("0x1.47ae147ae147bp-1", "0x1.47ae147ae1478p-4", 50),
-                ("0x1.7b468e46c3bf3p+12", "0x1.4a9101a71f16cp+10", 50),
+                ("0x1.7b468e46c3bf2p+12", "0x1.4a9101a71f16ap+10", 50),
             ),
         },
         "stationary": {
             "interference": (
                 ("0x1.1c4337e6faf49p-3", "0x1.94e160c9744ffp-10", 50),
-                ("0x1.fbfc88984a489p-9", "0x1.2bc6539fb63b3p-11", 50),
-                ("0x1.5f10238eb93f8p-5", "0x1.0dbe8abf0ef50p-10", 50),
-                ("0x1.0893538e95f73p-13", "0x1.cb59d44553f06p-16", 50),
+                ("0x1.fbfc88984a488p-9", "0x1.2bc6539fb63b5p-11", 50),
+                ("0x1.5f10238eb93f8p-5", "0x1.0dbe8abf0ef60p-10", 50),
+                ("0x1.0893538e95f74p-13", "0x1.cb59d44553f09p-16", 50),
                 15,
             ),
             CellType.CSG: (
@@ -370,19 +410,65 @@ def test_sinr_sweep_rejects_empty_sequence(channel):
 
 def test_stationary_snapshot_counts_follow_the_multinomial_split(desk_cfg):
     # ring users with probability eta*q, inner ones with eta*(1 - q): the
-    # ring count and the total count are both binomial
+    # ring count and the total count are both binomial, and so are they
+    # over each prefix of the chunks, the counts of a user-count grid
     eta, q = desk_cfg.R_I**2 / desk_cfg.L**2, 1.0 - desk_cfg.R**2 / desk_cfg.R_I**2
+    users = np.array([500, 1000, 2000])
     rng = np.random.default_rng(2024)
-    draws = [montecarlo._stationary_interference(rng, 20_000, desk_cfg, eta) for _ in range(10)]
-    k_ring = np.concatenate([d[2] for d in draws])
-    k_total = k_ring + np.concatenate([d[3] for d in draws])
-    n = k_ring.size
-    for k, p in ((k_ring, eta * q), (k_total, eta)):
-        mean, var = desk_cfg.N * p, desk_cfg.N * p * (1.0 - p)
-        assert abs(k.mean() - mean) <= 5.0 * math.sqrt(var / n)
-        assert abs(k.var(ddof=1) - var) <= 5.0 * var * math.sqrt(2.0 / n)
+    draws = [montecarlo._stationary_interference(rng, 20_000, desk_cfg, eta,
+                                                 np.diff(users, prepend=0))
+             for _ in range(10)]
+    k_ring = np.concatenate([d[2] for d in draws]).cumsum(axis=1)
+    k_total = k_ring + np.concatenate([d[3] for d in draws]).cumsum(axis=1)
+    n = k_ring.shape[0]
+    for j, users_j in enumerate(users):
+        for k, p in ((k_ring[:, j], eta * q), (k_total[:, j], eta)):
+            mean, var = users_j * p, users_j * p * (1.0 - p)
+            assert abs(k.mean() - mean) <= 5.0 * math.sqrt(var / n)
+            assert abs(k.var(ddof=1) - var) <= 5.0 * var * math.sqrt(2.0 / n)
     # the positions of each block match its counts
     assert all(d[0].size == d[2].sum() and d[1].size == d[3].sum() for d in draws)
+
+
+def test_live_chunk_counts_are_the_prefix_counts(desk_cfg):
+    # the chunk-j counts of a step are the ring and inner users among the
+    # users with index in [N_(j-1), N_j), in index order
+    cfg = replace(desk_cfg, N=4000)
+    bounds = np.array([0, 500, 1000, 2000, 4000])
+    plan = _plan(steps_per_replication=12, warmup_steps=0)
+    [(ring, inner, k_ring, k_inner)] = montecarlo._live_snapshots(
+        np.random.default_rng(6), plan, cfg, bounds, 12)
+    r2s = [r2 for _, _, r2 in montecarlo._live_steps(np.random.default_rng(6), plan, cfg)]
+    assert k_ring.shape == k_inner.shape == (12, 4)
+    in_ring = [(r2 >= cfg.R**2) & (r2 < cfg.R_I**2) for r2 in r2s]
+    in_inner = [r2 < cfg.R**2 for r2 in r2s]
+    for j, n_j in enumerate(bounds[1:]):
+        assert k_ring[:, :j + 1].sum(axis=1).tolist() == [m[:n_j].sum() for m in in_ring]
+        assert k_inner[:, :j + 1].sum(axis=1).tolist() == [m[:n_j].sum() for m in in_inner]
+    assert np.array_equal(ring, np.concatenate([r2[m] for r2, m in zip(r2s, in_ring)]))
+    assert np.array_equal(inner, np.concatenate([r2[m] for r2, m in zip(r2s, in_inner)]))
+
+
+@pytest.mark.parametrize("counts", [
+    [0, 3, 0, 0, 5, 0],                 # empty at the start, in the middle and at the end
+    [0, 0, 0],                          # a block with nothing to sum
+    [[2, 0, 1], [0, 0, 4], [3, 1, 0]],  # (snapshot, chunk) counts
+    [7],
+])
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_power_sums_segments_match_fsum(channel, counts, beta):
+    # reduceat returns one element for an empty segment and rejects a start
+    # at the end of the array; the scorer must give 0 there
+    ch = replace(channel, beta=beta)
+    counts = np.array(counts)
+    d2 = 1.0 + 99.0 * np.random.default_rng(8).random(counts.sum())
+    power = (np.random.default_rng(9).standard_exponential(d2.size) * ch.P_gamma * ch.P_t_m
+             / d2 ** (beta / 2.0))
+    ends = np.cumsum(counts.ravel())
+    want = [math.fsum(power[end - k:end]) for k, end in zip(counts.ravel(), ends)]
+    sums = montecarlo._power_sums(np.random.default_rng(9), d2, counts, ch)
+    assert sums.shape == counts.shape
+    np.testing.assert_allclose(sums.ravel(), want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("mode", ["stationary", "live"])
@@ -399,9 +485,9 @@ def test_snapshots_come_in_blocks_of_bounded_size(channel, monkeypatch, mode):
                  warmup_steps=5)
     rng = np.random.default_rng(3)
     totals, _ = montecarlo._interference(rng, plan, FROZEN_CFG, channel, mode,
-                                         FROZEN_CFG.R_I**2 / FROZEN_CFG.L**2)
+                                         FROZEN_CFG.R_I**2 / FROZEN_CFG.L**2, [FROZEN_CFG.N])
     for total in totals.values():
-        assert total.shape == (55,) and np.all(np.isfinite(total))
+        assert total.shape == (55, 1) and np.all(np.isfinite(total))
     assert np.all(totals[CellType.CSG] >= totals[CellType.OSG])
     if mode == "stationary":
         assert sum(blocks) == 55 and len(blocks) >= 4
