@@ -17,23 +17,10 @@ from .config import (
     dbm_to_watts,
     load_config,
     validate,
-    watts_to_dbm,
 )
 from .crossing import CrossingProbabilities, crossing_probabilities
-from .interference import (
-    InterfererMoments,
-    csg_interferer_moments,
-    interferer_mgf,
-    osg_interferer_moments,
-    total_mgf,
-    total_moments,
-)
-from .mobility import (
-    advance,
-    sample_direction,
-    sample_flight_length,
-    uniformity_test,
-)
+from .interference import interferer_mgf, interferer_moments, total_mgf, total_moments
+from .mobility import advance, sample_direction, sample_flight_length
 from .montecarlo import (
     EstimateWithError,
     ExperimentPlan,
@@ -42,13 +29,7 @@ from .montecarlo import (
     run_occupancy,
     run_sinr,
 )
-from .occupancy import (
-    OccupancyMoments,
-    occupancy_moments,
-    occupancy_pgf,
-    stationary_distribution,
-    transition_matrix,
-)
+from .occupancy import OccupancyMoments, occupancy_moments, occupancy_pgf
 from .performance import MetricResult, PerformanceQuery, success_probability
 
 __all__ = [name for name in dir() if not name.startswith("_")]

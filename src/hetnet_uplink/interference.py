@@ -1,15 +1,16 @@
 """Per-interferer and total uplink interference statistics.
 
-A macro user at distance d (uniform over the relevant support) with
-fading gain g contributes g * P_t_m / d**beta.  For a closed cell the
-support is [1, R_I] with density 2x/(R_I**2 - 1); for an open cell only
-the ring [R, R_I] interferes, with density 2x/(R_I**2 - R**2).  The total
-interference composes the per-interferer MGF with the generating function
-of the in-cell count at radius R_I (Bernoulli-thinned by the ring weight
-q = 1 - R**2/R_I**2 in the open case).  That count is Binomial(N, eta)
-with eta = R_I**2/L**2, the area ratio of the interfering disk, which the
-crossing pair at R_I reproduces as p_in/(p_in + p_out) by detailed
-balance; a pair passed explicitly sets eta instead.
+A macro user at distance d with fading gain g contributes
+g * P_t_m / d**beta, with d uniform over the cell type's support: the disk
+[1, R_I] for a closed cell, the ring [R, R_I] for an open one, at density
+2x/(hi**2 - lo**2).  ``_support`` is the one place that reads the cell
+type.  The total interference composes the per-interferer MGF with the
+generating function of the interferer count, Binomial(N, eta * q): each
+user lies in the interfering disk with probability eta = R_I**2/L**2, and
+q is the share of that disk on the support (1 for a closed cell,
+1 - R**2/R_I**2 for an open one).  The crossing pair at R_I reproduces eta
+as p_in/(p_in + p_out) by detailed balance; a pair passed explicitly sets
+eta instead.
 
 MGF evaluation is restricted to s <= 0: all consumers evaluate at
 negative arguments and the MGF need not exist for s > 0.  The MGFs take
@@ -22,7 +23,6 @@ derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,17 +35,30 @@ BETA_TOL = 1e-9
 MGF_PANEL = 15.0        # width in beta * ln d of the rule's panels, beta not 2 or 4
 
 
-@dataclass(frozen=True)
-class InterfererMoments:
-    """First [W] and second [W**2] moments of one interferer's power."""
-
-    first: float
-    second: float
+def _ring_weight(cfg: NetworkConfig) -> float:
+    """q = 1 - R**2/R_I**2: the share of the interfering disk that the
+    open-cell ring [R, R_I] covers."""
+    return 1.0 - cfg.R**2 / cfg.R_I**2
 
 
-def _ring_moments(ch: ChannelConfig, lo: float, hi: float):
-    """Moments of g * P_t_m / d**beta with d on [lo, hi], density
-    2x/(hi**2 - lo**2)."""
+def _support(cfg: NetworkConfig) -> tuple[float, float, float]:
+    """(lo, hi, q): a closed cell's interferers lie on [1, R_I] and are
+    every user of the interfering disk; an open cell's lie on the ring
+    [R, R_I], the share q of the disk."""
+    if cfg.cell_type is CellType.CSG:
+        return 1.0, cfg.R_I, 1.0
+    return cfg.R, cfg.R_I, _ring_weight(cfg)
+
+
+def _check_support(lo: float, hi: float):
+    if not 1.0 <= lo < hi:
+        raise ValueError(f"need 1 <= lo < hi, got lo={lo}, hi={hi}")
+
+
+def interferer_moments(ch: ChannelConfig, lo: float, hi: float) -> tuple[float, float]:
+    """First [W] and second [W**2] moments of one interferer's power
+    g * P_t_m / d**beta, with d on [lo, hi] at density 2x/(hi**2 - lo**2)."""
+    _check_support(lo, hi)
     beta = ch.beta
     area = hi * hi - lo * lo
     if abs(beta - 2.0) <= BETA_TOL:
@@ -54,39 +67,18 @@ def _ring_moments(ch: ChannelConfig, lo: float, hi: float):
         e_inv = 2.0 * (hi ** (2.0 - beta) - lo ** (2.0 - beta)) / ((2.0 - beta) * area)
     # the second inverse-power moment has no singularity at beta = 2
     e_inv2 = (hi ** (2.0 - 2.0 * beta) - lo ** (2.0 - 2.0 * beta)) / ((1.0 - beta) * area)
-    first = ch.P_t_m * ch.P_gamma * e_inv
-    second = ch.P_t_m**2 * ch.P_gamma2 * e_inv2
-    return first, second
+    return ch.P_t_m * ch.P_gamma * e_inv, ch.P_t_m**2 * ch.P_gamma2 * e_inv2
 
 
-def csg_interferer_moments(ch: ChannelConfig, R_I: float) -> InterfererMoments:
-    """Moments for an interferer uniform in the closed-cell disk [1, R_I]."""
-    if R_I <= 1.0:
-        raise ValueError(f"R_I must exceed 1 m, got {R_I}")
-    first, second = _ring_moments(ch, 1.0, R_I)
-    return InterfererMoments(first, second)
-
-
-def osg_interferer_moments(ch: ChannelConfig, R: float, R_I: float) -> InterfererMoments:
-    """Moments for an interferer uniform in the ring [R, R_I]."""
-    if not 1.0 <= R < R_I:
-        raise ValueError(f"need 1 <= R < R_I, got R={R}, R_I={R_I}")
-    first, second = _ring_moments(ch, R, R_I)
-    return InterfererMoments(first, second)
-
-
-def interferer_mgf(s, ch: ChannelConfig, cell_type: CellType, R: float, R_I: float):
-    """MGF of one interferer's power at s <= 0; a scalar s gives a float.
-    With exponential gain and c = P_t_m * P_gamma * s it is 1 + 2c/(hi**2 -
-    lo**2) times the integral of d/(d**beta - c) over the support [lo, hi]."""
+def interferer_mgf(s, ch: ChannelConfig, lo: float, hi: float):
+    """MGF of one interferer's power at s <= 0, with d on [lo, hi] as in
+    ``interferer_moments``; a scalar s gives a float.  With exponential gain
+    and c = P_t_m * P_gamma * s it is 1 + 2c/(hi**2 - lo**2) times the
+    integral of d/(d**beta - c) over [lo, hi]."""
     s = np.asarray(s, dtype=float)
     if (s > 0.0).any():
         raise ValueError("interferer MGF is only evaluated at s <= 0")
-    lo, hi = (1.0 if cell_type is CellType.CSG else R), R_I
-    if cell_type is CellType.OSG and not 1.0 <= R < R_I:
-        raise ValueError(f"need 1 <= R < R_I, got R={R}, R_I={R_I}")
-    if R_I <= lo:
-        raise ValueError(f"R_I must exceed {lo}, got {R_I}")
+    _check_support(lo, hi)
     c = ch.P_t_m * ch.P_gamma * s          # c <= 0 on the allowed domain
     area = hi * hi - lo * lo
     # scalars keep libm's log and atan, which numpy's vector loops can miss by an ulp
@@ -109,12 +101,6 @@ def interferer_mgf(s, ch: ChannelConfig, cell_type: CellType, R: float, R_I: flo
     return g if g.ndim else float(g)
 
 
-def _ring_weight(cfg: NetworkConfig) -> float:
-    """q = 1 - R**2/R_I**2: the share of the interfering disk that the
-    open-cell ring [R, R_I] covers."""
-    return 1.0 - cfg.R**2 / cfg.R_I**2
-
-
 def _eta(cfg: NetworkConfig, p_in: float | None = None, p_out: float | None = None) -> float:
     """Stationary weight of the interfering disk: R_I**2/L**2, or
     p_in/(p_in + p_out) of a crossing pair given in full."""
@@ -134,17 +120,14 @@ def total_mgf(
 ):
     """MGF of the total uplink interference at s <= 0; a scalar s gives a float.
 
-    Composes the in-cell count PGF at radius R_I with the per-interferer
-    MGF; in the open-cell case the argument is thinned by the ring weight
-    q = 1 - R**2/R_I**2.
+    Composes the PGF of the interferer count, Binomial(N, eta * q), with
+    the per-interferer MGF on the cell type's support.
     """
+    lo, hi, q = _support(cfg)
     eta = _eta(cfg, p_in, p_out)
-    g = interferer_mgf(s, ch, cfg.cell_type, cfg.R, cfg.R_I)
-    if cfg.cell_type is CellType.OSG:
-        q = _ring_weight(cfg)
-        g = q * g + 1.0 - q
-    # exactly 1 at s = 0, where the thinning and the PGF may round 1 down an ulp
-    m = np.where(np.equal(s, 0.0), 1.0, occupancy_pgf(g, cfg.N, eta))
+    g = interferer_mgf(s, ch, lo, hi)
+    # exactly 1 at s = 0, where eta*q + 1 - eta*q may round 1 down an ulp
+    m = np.where(np.equal(s, 0.0), 1.0, occupancy_pgf(g, cfg.N, eta * q))
     return m if m.ndim else float(m)
 
 
@@ -155,15 +138,12 @@ def total_moments(
     p_out: float | None = None,
 ) -> tuple[float, float]:
     """Mean [W] and variance [W**2] of the total uplink interference."""
+    lo, hi, q = _support(cfg)
     eta = _eta(cfg, p_in, p_out)
     if cfg.N == 0:
         return 0.0, 0.0
-    if cfg.cell_type is CellType.CSG:
-        mom = csg_interferer_moments(ch, cfg.R_I)
-        weight = cfg.N * eta
-    else:
-        mom = osg_interferer_moments(ch, cfg.R, cfg.R_I)
-        weight = cfg.N * eta * _ring_weight(cfg)
-    mean = weight * mom.first
-    variance = weight * mom.second - weight**2 / cfg.N * mom.first**2
+    first, second = interferer_moments(ch, lo, hi)
+    weight = cfg.N * eta * q
+    mean = weight * first
+    variance = weight * second - weight**2 / cfg.N * first**2
     return mean, variance

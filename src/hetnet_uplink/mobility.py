@@ -17,10 +17,8 @@ residual l5, the end point is (-1)**(m+1) * V + (l5 - l1) * u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 TWO_PI = 2.0 * math.pi
 RIM = 1e-12     # relative slack of x**2 + y**2 <= L**2 for points rounded onto the edge
@@ -93,61 +91,3 @@ def advance(x, y, length, direction, L: float):
         return float(ex[0]), float(ey[0])
     return ex.reshape(shape), ey.reshape(shape)
 
-
-def equal_area_bins(bins: int, L: float):
-    """Partition the disk into ``bins`` equal-area regions.
-
-    Rings are cut so that ring i carries s_i sectors with
-    sum(s_i) == bins and every region has area pi*L**2/bins exactly.
-    Returns (ring_radii, sectors_per_ring, cumulative_counts).
-    """
-    if bins < 2:
-        raise ValueError("bins must be at least 2")
-    n_rings = max(1, round(math.sqrt(bins)))
-    raw = [bins * (2 * i - 1) / n_rings**2 for i in range(1, n_rings + 1)]
-    sectors = [max(1, math.floor(r)) for r in raw]
-    # largest-remainder rounding to hit the exact total
-    while sum(sectors) < bins:
-        frac = [r - s for r, s in zip(raw, sectors)]
-        sectors[frac.index(max(frac))] += 1
-    while sum(sectors) > bins:
-        frac = [r - s for r, s in zip(raw, sectors)]
-        candidates = [i for i, s in enumerate(sectors) if s > 1]
-        sectors[min(candidates, key=lambda i: frac[i])] -= 1
-    cumulative = np.cumsum([0] + sectors)
-    radii = L * np.sqrt(cumulative[1:] / bins)
-    return radii, np.array(sectors), cumulative
-
-
-@dataclass(frozen=True)
-class UniformityResult:
-    statistic: float
-    p_value: float
-    dof: int
-
-
-def uniformity_test(positions, bins: int, L: float) -> UniformityResult:
-    """Pearson chi-square of positions against the uniform disk law.
-
-    The disk is split into ``bins`` equal-area regions (annuli subdivided
-    into sectors).  ``positions`` is an (n, 2) array of (x, y) rows.
-    """
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] == 0:
-        raise ValueError("positions must be a non-empty (n, 2) array")
-    x, y = positions[:, 0], positions[:, 1]
-    if (x * x + y * y > L * L * (1.0 + RIM)).any():
-        raise ValueError("position outside the disk")
-    radii, sectors, cumulative = equal_area_bins(bins, L)
-
-    ring = np.searchsorted(radii**2, x * x + y * y, side="left")
-    ring = np.minimum(ring, len(sectors) - 1)   # the boundary joins the last ring
-    width = TWO_PI / sectors[ring]
-    sector = np.minimum(np.mod(np.arctan2(y, x), TWO_PI) // width, sectors[ring] - 1)
-    region = cumulative[ring] + sector.astype(int)
-
-    observed = np.bincount(region, minlength=bins)
-    expected = x.size / bins
-    statistic = float(((observed - expected) ** 2 / expected).sum())
-    dof = bins - 1
-    return UniformityResult(statistic, float(stats.chi2.sf(statistic, dof)), dof)

@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the implementation paths they check: flights are
-traced segment by segment, stationary vectors come from power iteration,
+traced segment by segment, stationary vectors come from power iteration
+of the count chain's transition matrix, uniformity is a chi-square test,
 expectations come from plain sampling, re-entry series come from the
 Hurwitz zeta function, and crossing integrals (over the user's distance
 and heading, not over the chord offset), interferer MGFs and average
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 
 def trace_flight(x, y, length, direction, L):
@@ -57,6 +58,35 @@ def power_iteration(P, tol=1e-14, max_iter=200_000):
         pi = new
         Q = Q @ Q       # squaring accelerates convergence geometrically
     raise RuntimeError("power iteration did not converge")
+
+
+def transition_matrix(N, p_in, p_out):
+    """Row-stochastic (N+1)x(N+1) matrix of the in-cell count chain: row k
+    is the law of k - departures + arrivals, the reversed Binomial(k, p_out)
+    pmf convolved with the Binomial(N - k, p_in) pmf."""
+    P = np.empty((N + 1, N + 1))
+    for k in range(N + 1):
+        stay = stats.binom.pmf(np.arange(k + 1), k, p_out)[::-1]   # law of k - departures
+        arrive = stats.binom.pmf(np.arange(N - k + 1), N - k, p_in)
+        P[k] = np.convolve(stay, arrive)
+    return P
+
+
+def uniformity_p_value(x, y, L):
+    """Pearson chi-square p-value of positions (x, y) against the uniform
+    law on the disk of radius L.  (r**2/L**2, theta/2pi) maps the uniform
+    disk onto the uniform unit square, where a fixed 5 x 10 grid is 50
+    equal-area cells of the disk: 5 rings of 10 sectors.  r**2/L**2 is
+    clipped at 1, so a point that rounding put just outside the rim counts
+    in the outer ring instead of falling off the grid; a point farther out
+    is an error."""
+    u = (x * x + y * y) / (L * L)
+    if (u > 1.0 + 1e-12).any():
+        raise ValueError("position outside the disk")
+    u = np.minimum(u, 1.0)
+    v = np.mod(np.arctan2(y, x), 2.0 * math.pi) / (2.0 * math.pi)
+    observed = np.histogram2d(u, v, bins=(5, 10), range=((0.0, 1.0), (0.0, 1.0)))[0]
+    return float(stats.chisquare(observed.ravel()).pvalue)
 
 
 def sample_disk_radius(rng, n, r_lo, r_hi):

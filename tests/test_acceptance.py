@@ -17,25 +17,21 @@ from hetnet_uplink import (
     NetworkConfig,
     PerformanceQuery,
     crossing_probabilities,
-    csg_interferer_moments,
     interferer_mgf,
+    interferer_moments,
     occupancy_moments,
-    osg_interferer_moments,
     run_crossing,
     run_interference,
     run_occupancy,
     run_sinr,
-    stationary_distribution,
     success_probability,
     total_moments,
     total_mgf,
-    transition_matrix,
-    uniformity_test,
 )
 from hetnet_uplink.mobility import advance, sample_direction, sample_flight_length
 from hetnet_uplink.performance import evaluate
 
-from oracles import power_iteration, trace_flight
+from oracles import power_iteration, trace_flight, transition_matrix, uniformity_p_value
 
 L, R, R_I = 500.0, 60.0, 120.0
 AREA_RATIO = R**2 / L**2                      # 0.0144
@@ -57,9 +53,9 @@ def test_criterion_01_uniformity_after_long_run(desk_cfg):
         lengths = sample_flight_length(1.0 - rng.random(desk_cfg.N), desk_cfg.alpha, desk_cfg.delta)
         dirs = sample_direction(rng.random(desk_cfg.N))
         x, y = advance(x, y, lengths, dirs, L)
-    res = uniformity_test(np.column_stack([x, y]), bins=50, L=L)
-    ok = res.p_value > 0.01
-    _report(1, "uniform law preserved over 1e4 steps", ok, f"chi2 p={res.p_value:.3f}")
+    p_value = uniformity_p_value(x, y, L)
+    ok = p_value > 0.01
+    _report(1, "uniform law preserved over 1e4 steps", ok, f"chi2 p={p_value:.3f}")
     assert ok
 
 
@@ -118,7 +114,7 @@ def test_criterion_04_crossing_cross_validation():
 
 def test_criterion_05_occupancy_law(desk_cfg, probs_at_R):
     # small-N exact chain vs the closed-form binomial
-    pi = stationary_distribution(20, AREA_RATIO)
+    pi = stats.binom.pmf(np.arange(21), 20, AREA_RATIO)
     oracle = power_iteration(transition_matrix(20, probs_at_R.p_in, probs_at_R.p_out))
     tv = 0.5 * float(np.abs(pi - oracle).sum())
     ok_tv = tv <= 1e-8
@@ -201,35 +197,35 @@ def test_criterion_06_step_length_invariance(channel):
 
 
 def test_criterion_07_interferer_moments(channel):
-    mu = csg_interferer_moments(channel, R_I)
-    nu = osg_interferer_moments(channel, R, R_I)
+    mu1, mu2 = interferer_moments(channel, 1.0, R_I)
+    nu1, nu2 = interferer_moments(channel, R, R_I)
     ok_closed = (
-        math.isclose(mu.first, 2 * 0.1 * math.log(R_I) / (R_I**2 - 1), rel_tol=1e-12)
-        and math.isclose(nu.first, 2 * 0.1 * math.log(R_I / R) / (R_I**2 - R**2), rel_tol=1e-12)
+        math.isclose(mu1, 2 * 0.1 * math.log(R_I) / (R_I**2 - 1), rel_tol=1e-12)
+        and math.isclose(nu1, 2 * 0.1 * math.log(R_I / R) / (R_I**2 - R**2), rel_tol=1e-12)
         # reference values are quoted to four significant digits
-        and math.isclose(mu.first, 6.649e-5, rel_tol=1e-3)
-        and math.isclose(nu.first, 1.284e-5, rel_tol=1e-3)
+        and math.isclose(mu1, 6.649e-5, rel_tol=1e-3)
+        and math.isclose(nu1, 1.284e-5, rel_tol=1e-3)
     )
     rng = np.random.default_rng(501)
     n = 10**7
     d = np.sqrt(1 + rng.random(n) * (R_I**2 - 1))
     g = rng.exponential(1.0, n)
     samples = g * 0.1 / d**2
-    ok_mc = abs(samples.mean() - mu.first) <= 3.0 * samples.std(ddof=1) / math.sqrt(n)
+    ok_mc = abs(samples.mean() - mu1) <= 3.0 * samples.std(ddof=1) / math.sqrt(n)
     sq = samples**2
-    ok_mc &= abs(sq.mean() - mu.second) <= 3.0 * sq.std(ddof=1) / math.sqrt(n)
+    ok_mc &= abs(sq.mean() - mu2) <= 3.0 * sq.std(ddof=1) / math.sqrt(n)
     d = np.sqrt(R**2 + rng.random(n) * (R_I**2 - R**2))
     g = rng.exponential(1.0, n)
     ring = g * 0.1 / d**2
-    ok_mc &= abs(ring.mean() - nu.first) <= 3.0 * ring.std(ddof=1) / math.sqrt(n)
+    ok_mc &= abs(ring.mean() - nu1) <= 3.0 * ring.std(ddof=1) / math.sqrt(n)
 
-    ok_order = mu.first > nu.first and mu.second > nu.second
+    ok_order = mu1 > nu1 and mu2 > nu2
     betas = (2.0, 2.5, 3.0, 3.5, 4.0)
     series = [
-        [csg_interferer_moments(replace(channel, beta=b), R_I).first for b in betas],
-        [csg_interferer_moments(replace(channel, beta=b), R_I).second for b in betas],
-        [osg_interferer_moments(replace(channel, beta=b), R, R_I).first for b in betas],
-        [osg_interferer_moments(replace(channel, beta=b), R, R_I).second for b in betas],
+        moments
+        for lo in (1.0, R)
+        for moments in zip(*(interferer_moments(replace(channel, beta=b), lo, R_I)
+                             for b in betas))
     ]
     ok_beta = all(all(a > b for a, b in zip(xs, xs[1:])) for xs in series)
     ok = ok_closed and ok_mc and ok_order and ok_beta
@@ -257,10 +253,10 @@ def test_criterion_08_mgf_consistency(desk_cfg, channel, probs_at_RI):
     ok_fd = worst_mean <= 0.005 and worst_var <= 0.01
 
     worst_quad = 0.0
-    for cell in (CellType.CSG, CellType.OSG):
+    for lo in (1.0, R):
         for s in (-0.1, -5.0, -300.0):
-            closed = interferer_mgf(s, replace(channel, beta=4.0), cell, R, R_I)
-            quad = interferer_mgf(s, replace(channel, beta=4.0 + 5e-9), cell, R, R_I)
+            closed = interferer_mgf(s, replace(channel, beta=4.0), lo, R_I)
+            quad = interferer_mgf(s, replace(channel, beta=4.0 + 5e-9), lo, R_I)
             worst_quad = max(worst_quad, abs(closed - quad) / abs(closed))
     ok_quad = worst_quad <= 1e-9
     ok = ok_fd and ok_quad

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,6 @@ from hetnet_uplink import (
     dbm_to_watts,
     load_config,
     validate,
-    watts_to_dbm,
 )
 
 
@@ -31,7 +34,6 @@ def test_dbm_scaling_and_monotonicity():
         assert dbm_to_watts(x + 10.0) == pytest.approx(10.0 * dbm_to_watts(x), rel=1e-12)
     values = [dbm_to_watts(x) for x in xs]
     assert all(a < b for a, b in zip(values, values[1:]))
-    assert watts_to_dbm(dbm_to_watts(-3.0)) == pytest.approx(-3.0)
 
 
 def test_reference_defaults_validate():
@@ -126,3 +128,16 @@ def test_load_config_rejects_unknown_key(tmp_path):
         path.write_text(line)
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(path)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats serves the test oracles only; importing the library must not load it
+    import hetnet_uplink
+
+    src = str(Path(hetnet_uplink.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hetnet_uplink; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.strip() == "False"

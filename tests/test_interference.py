@@ -4,141 +4,131 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hetnet_uplink import (
-    CellType,
-    csg_interferer_moments,
-    interferer_mgf,
-    osg_interferer_moments,
-    total_mgf,
-    total_moments,
-)
+from hetnet_uplink import CellType, interferer_mgf, interferer_moments, total_mgf, total_moments
+from hetnet_uplink.interference import _support
 
 from oracles import interference_samples, mean_with_se, ring_mgf
 
 R, R_I = 60.0, 120.0
+DISK, RING = (1.0, R_I), (R, R_I)      # closed- and open-cell supports
 BETA_GRID = (2.0, 2.5, 3.0, 3.5, 4.0)
 
 
 @pytest.fixture(scope="module")
 def mc_samples_csg(channel):
     rng = np.random.default_rng(2024)
-    return interference_samples(rng, 10**7, channel, 1.0, R_I)
+    return interference_samples(rng, 10**7, channel, *DISK)
 
 
 @pytest.fixture(scope="module")
 def mc_samples_osg(channel):
     rng = np.random.default_rng(2025)
-    return interference_samples(rng, 10**7, channel, R, R_I)
+    return interference_samples(rng, 10**7, channel, *RING)
 
 
 # ------------------------------------------------------------- moments
 
 def test_csg_moments_closed_forms_at_beta2(channel):
-    mom = csg_interferer_moments(channel, R_I)
+    first, second = interferer_moments(channel, *DISK)
     expect_first = 2 * 0.1 * math.log(R_I) / (R_I**2 - 1)
-    assert mom.first == pytest.approx(expect_first, rel=1e-12)
-    assert mom.first == pytest.approx(6.649e-5, rel=1e-3)
-    assert mom.second == pytest.approx(0.1**2 * 2.0 / R_I**2, rel=1e-12)
-    assert mom.second == pytest.approx(1.389e-6, rel=1e-3)
+    assert first == pytest.approx(expect_first, rel=1e-12)
+    assert first == pytest.approx(6.649e-5, rel=1e-3)
+    assert second == pytest.approx(0.1**2 * 2.0 / R_I**2, rel=1e-12)
+    assert second == pytest.approx(1.389e-6, rel=1e-3)
 
 
 def test_osg_moments_closed_forms_at_beta2(channel):
-    mom = osg_interferer_moments(channel, R, R_I)
-    assert mom.first == pytest.approx(2 * 0.1 * math.log(2.0) / (R_I**2 - R**2), rel=1e-12)
-    assert mom.first == pytest.approx(1.284e-5, rel=1e-3)
-    assert mom.second == pytest.approx(0.1**2 * 2.0 / (R_I**2 * R**2), rel=1e-12)
+    first, second = interferer_moments(channel, *RING)
+    assert first == pytest.approx(2 * 0.1 * math.log(2.0) / (R_I**2 - R**2), rel=1e-12)
+    assert first == pytest.approx(1.284e-5, rel=1e-3)
+    assert second == pytest.approx(0.1**2 * 2.0 / (R_I**2 * R**2), rel=1e-12)
 
 
 def test_moments_match_mc_oracles(channel, mc_samples_csg, mc_samples_osg):
-    for mom, samples in (
-        (csg_interferer_moments(channel, R_I), mc_samples_csg),
-        (osg_interferer_moments(channel, R, R_I), mc_samples_osg),
-    ):
+    for support, samples in ((DISK, mc_samples_csg), (RING, mc_samples_osg)):
+        first, second = interferer_moments(channel, *support)
         m1, se1 = mean_with_se(samples)
         m2, se2 = mean_with_se(samples**2)
-        assert abs(mom.first - m1) <= 3.0 * se1
-        assert abs(mom.second - m2) <= 3.0 * se2
+        assert abs(first - m1) <= 3.0 * se1
+        assert abs(second - m2) <= 3.0 * se2
 
 
 def test_csg_dominates_osg(channel):
     for beta in BETA_GRID:
         ch = replace(channel, beta=beta)
-        c = csg_interferer_moments(ch, R_I)
-        o = osg_interferer_moments(ch, R, R_I)
-        assert c.first > o.first
-        assert c.second > o.second
+        disk, ring = interferer_moments(ch, *DISK), interferer_moments(ch, *RING)
+        assert disk[0] > ring[0]
+        assert disk[1] > ring[1]
 
 
 def test_moments_strictly_decreasing_in_beta(channel):
-    for maker in (
-        lambda ch: csg_interferer_moments(ch, R_I),
-        lambda ch: osg_interferer_moments(ch, R, R_I),
-    ):
-        firsts = [maker(replace(channel, beta=b)).first for b in BETA_GRID]
-        seconds = [maker(replace(channel, beta=b)).second for b in BETA_GRID]
+    for support in (DISK, RING):
+        firsts, seconds = zip(*(interferer_moments(replace(channel, beta=b), *support)
+                                for b in BETA_GRID))
         assert all(a > b for a, b in zip(firsts, firsts[1:]))
         assert all(a > b for a, b in zip(seconds, seconds[1:]))
 
 
 def test_jensen_inequality(channel):
     for beta in BETA_GRID:
-        mom = csg_interferer_moments(replace(channel, beta=beta), R_I)
-        assert mom.second >= mom.first**2
+        first, second = interferer_moments(replace(channel, beta=beta), *DISK)
+        assert second >= first**2
 
 
 def test_ring_degenerates_to_disk(channel):
-    near = osg_interferer_moments(channel, 1.0 + 1e-9, R_I)
-    disk = csg_interferer_moments(channel, R_I)
-    assert near.first == pytest.approx(disk.first, rel=1e-6)
-    assert near.second == pytest.approx(disk.second, rel=1e-6)
+    near = interferer_moments(channel, 1.0 + 1e-9, R_I)
+    disk = interferer_moments(channel, *DISK)
+    assert near == pytest.approx(disk, rel=1e-6)
 
 
 def test_moment_domain_errors(channel):
-    with pytest.raises(ValueError):
-        csg_interferer_moments(channel, 0.9)
-    with pytest.raises(ValueError):
-        osg_interferer_moments(channel, 120.0, 60.0)
+    for lo, hi in ((0.9, R_I), (R_I, R), (R, R)):      # lo < 1 and lo >= hi
+        with pytest.raises(ValueError, match="1 <= lo < hi"):
+            interferer_moments(channel, lo, hi)
 
 
 # ------------------------------------------------------------- MGFs
 
 def test_mgf_is_one_at_zero(channel):
     for beta in (2.0, 3.0, 4.0):
-        for cell in (CellType.CSG, CellType.OSG):
-            assert interferer_mgf(0.0, replace(channel, beta=beta), cell, R, R_I) == 1.0
+        for support in (DISK, RING):
+            assert interferer_mgf(0.0, replace(channel, beta=beta), *support) == 1.0
 
 
 def test_mgf_rejects_positive_argument(channel):
-    with pytest.raises(ValueError):
-        interferer_mgf(1e-9, channel, CellType.CSG, R, R_I)
+    with pytest.raises(ValueError, match="s <= 0"):
+        interferer_mgf(1e-9, channel, *DISK)
+    for lo, hi in ((0.9, R_I), (R_I, R), (R, R)):      # lo < 1 and lo >= hi
+        with pytest.raises(ValueError, match="1 <= lo < hi"):
+            interferer_mgf(-1.0, channel, lo, hi)
 
 
 def test_mgf_beta2_closed_form_value(channel):
     s = -0.01
     c = 0.1 * 1.0 * s
     expected = 1.0 + c / (R_I**2 - 1) * math.log((R_I**2 - c) / (1.0 - c))
-    assert interferer_mgf(s, channel, CellType.CSG, R, R_I) == pytest.approx(expected, rel=1e-12)
+    assert interferer_mgf(s, channel, *DISK) == pytest.approx(expected, rel=1e-12)
 
 
 def test_mgf_matches_mc_expectation(channel, mc_samples_csg):
     s = -0.01
     values = np.exp(s * mc_samples_csg)
     mc, se = mean_with_se(values)
-    assert abs(interferer_mgf(s, channel, CellType.CSG, R, R_I) - mc) <= 3.0 * se
+    assert abs(interferer_mgf(s, channel, *DISK) - mc) <= 3.0 * se
 
 
 def test_mgf_slope_recovers_first_moment(channel):
     h = -1e-6
-    mom = csg_interferer_moments(channel, R_I)
-    slope = (interferer_mgf(h, channel, CellType.CSG, R, R_I) - 1.0) / h
-    assert slope == pytest.approx(mom.first, rel=5e-3)
+    first, _ = interferer_moments(channel, *DISK)
+    slope = (interferer_mgf(h, channel, *DISK) - 1.0) / h
+    assert slope == pytest.approx(first, rel=5e-3)
 
 
 def test_mgf_beta4_closed_form_matches_quadrature(channel):
-    for cell, s in ((CellType.CSG, -5.0), (CellType.OSG, -5.0), (CellType.CSG, -0.37)):
-        closed = interferer_mgf(s, replace(channel, beta=4.0), cell, R, R_I)
+    for support, s in ((DISK, -5.0), (RING, -5.0), (DISK, -0.37)):
+        closed = interferer_mgf(s, replace(channel, beta=4.0), *support)
         # nudge beta off the closed-form routing to force the radial quadrature
-        quad = interferer_mgf(s, replace(channel, beta=4.0 + 5e-9), cell, R, R_I)
+        quad = interferer_mgf(s, replace(channel, beta=4.0 + 5e-9), *support)
         assert abs(closed - quad) / abs(closed) <= 1e-9
 
 
@@ -148,11 +138,11 @@ def test_mgf_rule_matches_adaptive_oracle(channel, beta):
     # in ln(d**2) and against one scalar call per argument
     ch = replace(channel, beta=beta)
     s = -np.logspace(-3, 13, 33)
-    for cell, lo in ((CellType.CSG, 1.0), (CellType.OSG, R)):
-        got = interferer_mgf(s, ch, cell, R, R_I)
-        want = np.array([ring_mgf(x, ch, lo, R_I)[0] for x in s])
+    for support in (DISK, RING):
+        got = interferer_mgf(s, ch, *support)
+        want = np.array([ring_mgf(x, ch, *support)[0] for x in s])
         assert np.abs(got - want).max() <= 1e-13
-        assert got.tolist() == [interferer_mgf(float(x), ch, cell, R, R_I) for x in s]
+        assert got.tolist() == [interferer_mgf(float(x), ch, *support) for x in s]
 
 
 @pytest.mark.parametrize("beta", [2.5, 3.0, 6.0, 8.0])
@@ -174,9 +164,9 @@ def test_mgf_panels_exact_where_the_rate_rule_samples(desk_cfg, channel, monkeyp
     queries = [PerformanceQuery(kappa, 1e-6, cell) for kappa in (0.1, 0.5, 1.0)]
     results = [performance.evaluate(q, cfg, ch) for q in queries]
     s = np.concatenate(seen)[::9]
-    lo = 1.0 if cell is CellType.CSG else R
-    want = np.array([ring_mgf(x, ch, lo, R_I)[0] for x in s])
-    assert np.abs(interferer_mgf(s, ch, cell, R, R_I) - want).max() <= 1e-13
+    support = DISK if cell is CellType.CSG else RING
+    want = np.array([ring_mgf(x, ch, *support)[0] for x in s])
+    assert np.abs(interferer_mgf(s, ch, *support) - want).max() <= 1e-13
     monkeypatch.setattr(interference, "MGF_PANEL", interference.MGF_PANEL / 4.0)
     for q, res in zip(queries, results):
         finer = performance.evaluate(q, cfg, ch).average_rate
@@ -185,9 +175,7 @@ def test_mgf_panels_exact_where_the_rate_rule_samples(desk_cfg, channel, monkeyp
 
 def test_mgf_general_beta_between_closed_forms(channel):
     s = -1.0
-    g2 = interferer_mgf(s, replace(channel, beta=2.0), CellType.CSG, R, R_I)
-    g3 = interferer_mgf(s, replace(channel, beta=3.0), CellType.CSG, R, R_I)
-    g4 = interferer_mgf(s, replace(channel, beta=4.0), CellType.CSG, R, R_I)
+    g2, g3, g4 = (interferer_mgf(s, replace(channel, beta=b), *DISK) for b in (2.0, 3.0, 4.0))
     assert g2 < g3 < g4 < 1.0   # weaker interference at higher pathloss
 
 
@@ -199,13 +187,17 @@ def test_total_mgf_trivial_points(desk_cfg, channel):
             cfg = replace(desk_cfg, cell_type=cell)
             ch = replace(channel, beta=beta)
             assert total_mgf(0.0, cfg, ch) == 1.0
-            # at R_I = 141 m both eta*1 + 1 - eta and the ring thinning round below 1
+            # at R_I = 141 m the closed cell's eta*q + 1 - eta*q rounds below 1
             assert total_mgf(0.0, replace(cfg, R_I=141.0), ch) == 1.0
             assert total_mgf(-3.0, replace(cfg, N=0), ch) == 1.0
 
 
 def test_ring_weight_reference_value(desk_cfg):
-    assert 1.0 - desk_cfg.R**2 / desk_cfg.R_I**2 == pytest.approx(0.75)
+    # the cell type is read once: the support and the share of interferers on it
+    assert _support(desk_cfg) == (1.0, 120.0, 1.0)
+    lo, hi, q = _support(replace(desk_cfg, cell_type=CellType.OSG))
+    assert (lo, hi) == (60.0, 120.0)
+    assert q == pytest.approx(0.75, rel=1e-15)
 
 
 def test_total_moments_trivial_and_ordering(desk_cfg, channel):

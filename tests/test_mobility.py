@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hetnet_uplink import (
-    NetworkConfig,
-    advance,
-    sample_direction,
-    sample_flight_length,
-    uniformity_test,
-)
-from hetnet_uplink.mobility import equal_area_bins
+from hetnet_uplink import NetworkConfig, advance, sample_direction, sample_flight_length
 
-from oracles import _exit_chord, trace_flight
+from oracles import _exit_chord, trace_flight, uniformity_p_value
 
 L = 500.0
 EPS = np.finfo(float).eps
@@ -205,49 +198,25 @@ def test_uniformity_preserved_after_one_and_hundred_steps():
         dirs = sample_direction(rng.random(cfg.N))
         x, y = advance(x, y, lengths, dirs, cfg.L)
         if step in (1, 100):
-            res = uniformity_test(np.column_stack([x, y]), bins=50, L=cfg.L)
-            assert res.p_value > 0.01
+            assert uniformity_p_value(x, y, cfg.L) > 0.01
             checked += 1
     assert checked == 2
 
 
 # ---------------------------------------------------------------- chi-square
 
-def test_equal_area_bins_partition_exactly():
-    radii, sectors, cumulative = equal_area_bins(50, L)
-    assert sectors.sum() == 50
-    assert radii[-1] == pytest.approx(L)
-    # ring areas proportional to their sector counts
-    areas = np.diff(np.concatenate([[0.0], radii**2]))
-    assert np.allclose(areas / areas.sum(), sectors / 50)
-
-
-def test_uniformity_test_exact_grid_is_flat():
-    radii, sectors, cumulative = equal_area_bins(50, L)
-    pts = []
-    inner = np.concatenate([[0.0], radii[:-1]])
-    for ring, (r_lo, r_hi, s) in enumerate(zip(inner, radii, sectors)):
-        r_mid = math.sqrt((r_lo**2 + r_hi**2) / 2.0)
-        for k in range(s):
-            for j in range(4):                      # four points per region
-                ang = (k + (j + 1) / 5.0) * 2 * math.pi / s
-                pts.append((r_mid * math.cos(ang), r_mid * math.sin(ang)))
-    res = uniformity_test(np.array(pts), bins=50, L=L)
-    assert res.statistic == pytest.approx(0.0, abs=1e-12)
-    assert res.p_value == pytest.approx(1.0)
-
-
 def test_uniformity_test_point_mass_fails_hard():
-    res = uniformity_test(np.zeros((2000, 2)), bins=50, L=L)
-    assert res.p_value < 1e-6
+    assert uniformity_p_value(np.zeros(2000), np.zeros(2000), L) < 1e-6
 
 
-def test_uniformity_test_input_validation():
-    with pytest.raises(ValueError):
-        uniformity_test(np.empty((0, 2)), bins=10, L=L)
-    with pytest.raises(ValueError):
-        uniformity_test(np.zeros((10, 3)), bins=10, L=L)      # not (x, y) rows
-    with pytest.raises(ValueError):
-        uniformity_test(np.array([[L + 1, 0.0]]), bins=10, L=L)
-    with pytest.raises(ValueError):
-        uniformity_test(np.array([[1.0, 0.0]]), bins=1, L=L)
+def test_uniformity_oracle_counts_a_rim_point_in_the_outer_ring():
+    # histogram2d would drop a point past the edge of its range silently
+    rng = np.random.default_rng(9)
+    rho, theta = L * np.sqrt(rng.random(500)), 2 * np.pi * rng.random(500)
+    x, y = rho * np.cos(theta), rho * np.sin(theta)
+    rim = uniformity_p_value(np.append(x, L * (1.0 + 1e-13)), np.append(y, 0.0), L)
+    inside = uniformity_p_value(np.append(x, 0.99 * L), np.append(y, 0.0), L)
+    dropped = uniformity_p_value(x, y, L)
+    assert rim == inside != dropped
+    with pytest.raises(ValueError, match="outside the disk"):
+        uniformity_p_value(np.append(x, 1.01 * L), np.append(y, 0.0), L)
