@@ -16,6 +16,15 @@ closed forms; ``live`` mode takes it from a mobile population, which also
 captures whatever those assumptions miss.  Distances stay squared: a point
 uniform on an annulus has d**2 uniform on [r_lo**2, r_hi**2].
 
+SINR samples are scored by their conditional expectation given the
+interference I (Rao-Blackwellisation; Casella & Robert, Biometrika,
+1996): the serving link is Rayleigh, so with x = (I + P_n)/m0, m0 the mean
+serving power, a sample scores exp(-T x) for success and W exp(x) E1(x)
+for rate, and no serving-link fading is drawn.  The means are those of
+scoring one drawn fade; on the stationary samples of the CLI's default
+rows the variance is 4 to 3e5 times smaller.  Live samples are
+autocorrelated through I, so their standard error gains less.
+
 A user-count grid is one nested draw: the N-user snapshot is the first N
 users of the largest population, so the users split into chunks between
 consecutive counts, each chunk's ring and inner powers are summed per
@@ -37,6 +46,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 
 from .config import CellType, ChannelConfig, NetworkConfig
 from .crossing import _radius
@@ -48,6 +58,10 @@ from .performance import PerformanceQuery
 SCENARIOS = ("crossing", "occupancy", "interference", "success", "rate", "density_sweep")
 MODES = ("stationary", "live")
 BLOCK_DRAWS = 2**22     # users drawn per block of snapshots: bounds the memory of a run
+EULER_HI, EULER_LO = 0.5772156649015329, -4.942915152430645e-18    # Euler's gamma, split
+# E1(x) = -gamma - ln(x) + x + SERIES[0]*x**2 + SERIES[1]*x**3 + ... + SERIES[17]*x**19
+SERIES = tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(2, 20))
+CF_DEPTH = 12           # terms of the continued fraction of exp(x)*E1(x), x >= 40
 
 
 @dataclass(frozen=True)
@@ -302,6 +316,48 @@ def run_interference(
     return InterferenceRun(c_mean, c_var, o_mean, o_var, resampled)
 
 
+def _scaled_exp1(x):
+    """exp(x) * E1(x) for an array of x > 0, within about 5e-16 relative.
+
+    Each range is evaluated on its own values, so no exp overflows: below
+    1 the power series of E1 (Euler's gamma split in two, so x - gamma is
+    exact near 1), where scipy's ``exp1`` is off by up to 2e-15; on
+    [1, 40) scipy's ``exp1``; from 40 up the even continued fraction
+    1/(x+1- 1**2/(x+3- 2**2/(x+5- ...))) cut at ``CF_DEPTH`` terms
+    (the even part of Abramowitz & Stegun 5.1.22).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small, large = x < 1.0, x >= 40.0
+    mid = ~(small | large)
+    xs = x[small]
+    poly = np.full_like(xs, SERIES[-1])
+    for c in SERIES[-2::-1]:
+        poly *= xs
+        poly += c
+    out[small] = np.exp(xs) * ((xs - EULER_HI) + (xs * xs * poly - np.log(xs)) - EULER_LO)
+    out[mid] = np.exp(x[mid]) * special.exp1(x[mid])
+    xl = x[large]
+    f = xl + (2 * CF_DEPTH + 1)
+    for k in range(CF_DEPTH, 0, -1):
+        np.divide(-k * k, f, out=f)
+        f += xl
+        f += 2 * k - 1
+    out[large] = 1.0 / f
+    return out
+
+
+def _score(interference, ch, m0, threshold):
+    """Success and rate [nats/s] of each interference sample, with the
+    serving link's Rayleigh fading integrated out (Rao-Blackwellisation:
+    the same means as scoring one fading draw, at lower variance).  With
+    m0 the mean serving power and x = (I + P_n)/m0, SINR is Exp(1)/x, so
+    P(SINR >= T | I) = exp(-T x) and E[W ln(1 + SINR) | I] = W exp(x) E1(x).
+    Both decrease in I."""
+    x = (interference + ch.noise_power) / m0
+    return np.exp(-threshold * x), ch.W * _scaled_exp1(x)
+
+
 def run_sinr(
     plan: ExperimentPlan,
     cfg: NetworkConfig | Sequence[NetworkConfig],
@@ -313,17 +369,20 @@ def run_sinr(
 ) -> tuple[EstimateWithError, EstimateWithError] | list:
     """Empirical success probability and average rate [nats/s] at kappa.
 
+    Each interference sample is scored by ``_score``, its success and rate
+    given the interference, so no serving-link fading is drawn.
+
     One query gives one (success, rate) pair.  A sequence of queries, of
     either cell type, gives one pair per query, all scored on the same
-    draws: the snapshots and serving-link fading of each replication are
-    drawn once (common random numbers), so every pair equals its
-    single-query run bit for bit.
+    snapshots, drawn once per replication (common random numbers), so
+    every pair equals its single-query run bit for bit.
 
     ``cfg`` is one config or a sequence of configs that differ only in N,
     a user-count grid, which gives a list with one such result per config.
     The grid is one draw: the N-user snapshot of a sample is the first N
     users of the largest population, so each sample's interference is
-    non-decreasing in N, and so are the pooled success and rate.
+    non-decreasing in N; both scores decrease in it, so the pooled success
+    and rate are non-increasing in N.
     """
     single = isinstance(query, PerformanceQuery)
     queries = [query] if single else list(query)
@@ -339,17 +398,16 @@ def run_sinr(
     users = sorted({c.N for c in cfgs})
     eta = _eta(largest, p_in, p_out)
     n = plan.steps_per_replication - plan.warmup_steps
-    attns = [(target.kappa * largest.R) ** ch.beta for target in queries]
+    m0s = [ch.P_t_h * ch.P_gamma / (target.kappa * largest.R) ** ch.beta for target in queries]
 
     scores = [[([], []) for _ in queries] for _ in users]
     for rng in _substreams(plan.seed, plan.replications):
         totals, _ = _interference(rng, plan, largest, ch, mode, eta, users)
-        signal = rng.exponential(ch.P_gamma, n) * ch.P_t_h
         for j, column in enumerate(scores):
-            for target, attn, (succ, rate) in zip(queries, attns, column):
-                sinr = signal / attn / (totals[target.cell_type][:, j] + ch.noise_power)
-                succ.append(float(np.mean(sinr >= target.threshold)))
-                rate.append(float(ch.W * np.log1p(sinr).mean()))
+            for target, m0, (succ, rate) in zip(queries, m0s, column):
+                success, rates = _score(totals[target.cell_type][:, j], ch, m0, target.threshold)
+                succ.append(float(success.mean()))
+                rate.append(float(rates.mean()))
     results = []
     for c in cfgs:
         pairs = [(_pool(s, n), _pool(r, n)) for s, r in scores[users.index(c.N)]]

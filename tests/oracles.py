@@ -6,7 +6,10 @@ of the count chain's transition matrix, uniformity is a chi-square test,
 expectations come from plain sampling, re-entry series come from the
 Hurwitz zeta function, and crossing integrals (over the user's distance
 and heading, not over the chord offset), interferer MGFs and average
-rates (by the tail-integral route) from nested adaptive quadrature.
+rates (by the tail-integral route) from nested adaptive quadrature.  The
+indicator SINR route scores the library's own interference samples, since
+what it checks is the scorer: it draws the serving-link fading that
+``run_sinr`` integrates out.
 """
 from __future__ import annotations
 
@@ -14,6 +17,8 @@ import math
 
 import numpy as np
 from scipy import integrate, special, stats
+
+from hetnet_uplink import montecarlo
 
 
 def trace_flight(x, y, length, direction, L):
@@ -87,6 +92,25 @@ def uniformity_p_value(x, y, L):
     v = np.mod(np.arctan2(y, x), 2.0 * math.pi) / (2.0 * math.pi)
     observed = np.histogram2d(u, v, bins=(5, 10), range=((0.0, 1.0), (0.0, 1.0)))[0]
     return float(stats.chisquare(observed.ravel()).pvalue)
+
+
+def pooled_chisquare_p_value(counts, pmf):
+    """Pearson chi-square p-value of a histogram of counts against a pmf
+    on the same support, neighbouring cells pooled from the left until each
+    expects at least 8 draws; what is left over joins the last cell."""
+    n_samples = counts.sum()
+    observed, expected = [], []
+    acc_o = acc_e = 0.0
+    for count, p in zip(counts, pmf):
+        acc_o += count
+        acc_e += p * n_samples
+        if acc_e >= 8.0:
+            observed.append(acc_o)
+            expected.append(acc_e)
+            acc_o = acc_e = 0.0
+    observed[-1] += acc_o
+    expected[-1] += acc_e
+    return float(stats.chisquare(observed, expected).pvalue)
 
 
 def sample_disk_radius(rng, n, r_lo, r_hi):
@@ -339,3 +363,29 @@ def rate_oracle(kappa, cfg, ch):
     ends = math.exp(t_lo) + math.exp(-span) / span
     amplified = cfg.N * (w / (1.0 - w) * inner[0] + np.finfo(float).eps) * rate
     return rate, ch.W * (err + ends) + amplified
+
+
+def indicator_scores(signal, interference, ch, query, R):
+    """Success indicator and ln(1 + SINR) of each sample, for a drawn
+    serving power ``signal`` (gain * P_t_h) per interference sample."""
+    sinr = signal / (query.kappa * R) ** ch.beta / (interference + ch.noise_power)
+    return sinr >= query.threshold, np.log1p(sinr)
+
+
+def indicator_sinr(plan, cfg, ch, queries):
+    """(success, rate [nats/s]) per query by drawing the serving link: each
+    replication's stationary ``montecarlo._interference`` samples get one
+    serving fading draw each, shared by the queries, and are scored by
+    ``indicator_scores``; replications pool as in ``run_sinr``."""
+    n = plan.steps_per_replication - plan.warmup_steps
+    eta = cfg.R_I**2 / cfg.L**2
+    scores = [([], []) for _ in queries]
+    for rng in montecarlo._substreams(plan.seed, plan.replications):
+        totals, _ = montecarlo._interference(rng, plan, cfg, ch, "stationary", eta, [cfg.N])
+        signal = rng.exponential(ch.P_gamma, n) * ch.P_t_h
+        for query, (succ, rate) in zip(queries, scores):
+            hits, spectral = indicator_scores(signal, totals[query.cell_type][:, 0], ch, query,
+                                              cfg.R)
+            succ.append(float(np.mean(hits)))
+            rate.append(float(ch.W * spectral.mean()))
+    return [(montecarlo._pool(s, n), montecarlo._pool(r, n)) for s, r in scores]

@@ -23,7 +23,6 @@ from hetnet_uplink import (
     run_crossing,
     run_interference,
     run_occupancy,
-    run_sinr,
     success_probability,
     total_moments,
     total_mgf,
@@ -31,7 +30,8 @@ from hetnet_uplink import (
 from hetnet_uplink.mobility import advance, sample_direction, sample_flight_length
 from hetnet_uplink.performance import evaluate
 
-from oracles import power_iteration, trace_flight, transition_matrix, uniformity_p_value
+from oracles import (indicator_sinr, pooled_chisquare_p_value, power_iteration, trace_flight,
+                     transition_matrix, uniformity_p_value)
 
 L, R, R_I = 500.0, 60.0, 120.0
 AREA_RATIO = R**2 / L**2                      # 0.0144
@@ -112,43 +112,21 @@ def test_criterion_04_crossing_cross_validation():
     assert ok
 
 
-def test_criterion_05_occupancy_law(desk_cfg, probs_at_R):
+def test_criterion_05_occupancy_law(desk_cfg, probs_at_R, strided_occupancy_counts):
     # small-N exact chain vs the closed-form binomial
     pi = stats.binom.pmf(np.arange(21), 20, AREA_RATIO)
     oracle = power_iteration(transition_matrix(20, probs_at_R.p_in, probs_at_R.p_out))
     tv = 0.5 * float(np.abs(pi - oracle).sum())
     ok_tv = tv <= 1e-8
 
-    # desk-scale mobile population vs Binomial(2000, 0.0144)
-    stride = math.ceil(5.0 / (probs_at_R.p_in + probs_at_R.p_out))
-    plan = ExperimentPlan("occupancy", replications=4, steps_per_replication=26_000,
-                          warmup_steps=1_000, seed=12)
-    # a histogram of every stride-th step's count, nearly independent draws
-    counts = np.zeros(desk_cfg.N + 1, dtype=np.int64)
-
-    def every_stride(step, x, y):
-        if step % stride == 0:
-            counts[np.count_nonzero(x * x + y * y < desk_cfg.R**2)] += 1
-
-    run = run_occupancy(plan, desk_cfg, trace_hook=every_stride)
-    n_samples = counts.sum()
+    # desk-scale mobile population vs Binomial(2000, 0.0144): the counts
+    # of a strided live run (conftest), nearly independent draws
     pmf = stats.binom.pmf(np.arange(desk_cfg.N + 1), desk_cfg.N, AREA_RATIO)
-    observed, expected = [], []
-    acc_o = acc_e = 0.0
-    for j in range(desk_cfg.N + 1):
-        acc_o += counts[j]
-        acc_e += pmf[j] * n_samples
-        if acc_e >= 8.0:
-            observed.append(acc_o)
-            expected.append(acc_e)
-            acc_o = acc_e = 0.0
-    observed[-1] += acc_o
-    expected[-1] += acc_e
-    res = stats.chisquare(observed, expected)
-    ok_chi = res.pvalue > 0.01
+    p_value = pooled_chisquare_p_value(strided_occupancy_counts, pmf)
+    ok_chi = p_value > 0.01
     ok = ok_tv and ok_chi
     _report(5, "binomial occupancy law", ok,
-            f"TV={tv:.2e}, histogram chi2 p={res.pvalue:.3f}")
+            f"TV={tv:.2e}, histogram chi2 p={p_value:.3f}")
     assert ok
 
 
@@ -266,11 +244,14 @@ def test_criterion_08_mgf_consistency(desk_cfg, channel, probs_at_RI):
 
 
 def test_criterion_09_sinr_metrics(desk_cfg, channel):
+    # the indicator route draws the serving-link fading that run_sinr
+    # integrates out, so the Rayleigh factorization shared by the analytic
+    # formula and run_sinr's scorer is tested here apart from both
     plan = ExperimentPlan("success", replications=8, steps_per_replication=125_001,
                           warmup_steps=1, seed=909)
     queries = [PerformanceQuery(kappa=kappa, threshold=T60, cell_type=CellType.CSG)
                for kappa in KAPPA_GRID]
-    estimates = run_sinr(plan, desk_cfg, channel, queries)
+    estimates = indicator_sinr(plan, desk_cfg, channel, queries)
     worst_gap = 0.0
     for q, (est, _) in zip(queries, estimates):
         analytic = success_probability(q, desk_cfg, channel)

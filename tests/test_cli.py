@@ -335,3 +335,44 @@ def test_flag_defaults_are_the_manifest_defaults(monkeypatch, scenario):
     monkeypatch.setattr(cli, "run", lambda manifest: parsed.append(manifest) or 0)
     assert main(["--scenario", scenario]) == 0
     assert parsed == [cli.RunManifest(scenario)]
+
+
+@pytest.mark.parametrize("argv, steps", [
+    # stationary SINR scenarios score conditional expectations: less effort
+    (["--scenario", "success"], 5_200),
+    (["--scenario", "rate"], 5_200),
+    (["--scenario", "density_sweep"], 5_200),
+    *[(["--scenario", f"figure{i}"], 5_200) for i in range(7, 13)],
+    # live SINR runs and the other scenarios keep 19,000
+    (["--scenario", "success", "--mode", "live"], 19_000),
+    (["--scenario", "figure12", "--mode", "live"], 19_000),
+    (["--scenario", "crossing"], 19_000),
+    (["--scenario", "figure6"], 19_000),
+    (["--scenario", "occupancy"], 19_000),
+    (["--scenario", "interference"], 19_000),
+    (["--scenario", "interference", "--mode", "live"], 19_000),
+    # an explicit --steps always wins
+    (["--scenario", "rate", "--steps", "777"], 777),
+    (["--scenario", "occupancy", "--steps", "777"], 777),
+    (["--scenario", "figure7", "--steps", "19000"], 19_000),
+    (["--scenario", "success", "--full-scale", "--steps", "777"], 777),
+    # --full-scale sets 999,000 whatever the scenario and mode
+    (["--scenario", "success", "--full-scale"], 999_000),
+    (["--scenario", "occupancy", "--full-scale"], 999_000),
+    (["--scenario", "rate", "--mode", "live", "--full-scale"], 999_000),
+])
+def test_default_steps_resolve_per_scenario_and_mode(tmp_path, config_file, monkeypatch,
+                                                    argv, steps):
+    from hetnet_uplink import cli
+
+    planned = []
+
+    def rows_of(scenario, manifest, cfg, ch, analytic, plan):
+        planned.append((manifest.steps, plan.steps_per_replication))
+        return [{"steps": plan.steps_per_replication}], []
+
+    for name, (axis, grid, _) in list(cli.SCENARIOS.items()):
+        monkeypatch.setitem(cli.SCENARIOS, name, (axis, grid, rows_of))
+    assert main([*argv, "--engine", "mc", "--config", str(config_file),
+                 "--out", str(tmp_path)]) == 0
+    assert planned == [(steps, steps)]

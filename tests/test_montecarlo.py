@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,8 @@ from hetnet_uplink import (
     run_occupancy,
     run_sinr,
 )
+
+from oracles import indicator_scores, pooled_chisquare_p_value
 
 T60 = 1e-6
 
@@ -76,35 +79,9 @@ def test_occupancy_mean_matches_area_ratio(desk_cfg):
     assert abs(run.variance.value - binom_var) <= 4.0 * run.variance.std_error
 
 
-def test_occupancy_histogram_matches_binomial(desk_cfg, probs_at_R):
-    stride = math.ceil(5.0 / (probs_at_R.p_in + probs_at_R.p_out))
-    plan = _plan(scenario="occupancy", replications=4, steps_per_replication=26_000,
-                 warmup_steps=1_000, seed=12)
-    # a histogram of every stride-th step's count, nearly independent draws
-    counts = np.zeros(desk_cfg.N + 1, dtype=np.int64)
-
-    def every_stride(step, x, y):
-        if step % stride == 0:
-            counts[np.count_nonzero(x * x + y * y < desk_cfg.R**2)] += 1
-
-    run_occupancy(plan, desk_cfg, trace_hook=every_stride)
-    n_samples = counts.sum()
+def test_occupancy_histogram_matches_binomial(desk_cfg, strided_occupancy_counts):
     pmf = stats.binom.pmf(np.arange(desk_cfg.N + 1), desk_cfg.N, 0.0144)
-    # pool the support into cells with expected count >= 8
-    order = np.arange(desk_cfg.N + 1)
-    observed, expected = [], []
-    acc_o = acc_e = 0.0
-    for j in order:
-        acc_o += counts[j]
-        acc_e += pmf[j] * n_samples
-        if acc_e >= 8.0:
-            observed.append(acc_o)
-            expected.append(acc_e)
-            acc_o = acc_e = 0.0
-    observed[-1] += acc_o
-    expected[-1] += acc_e
-    res = stats.chisquare(observed, expected)
-    assert res.pvalue > 0.01
+    assert pooled_chisquare_p_value(strided_occupancy_counts, pmf) > 0.01
 
 
 def test_occupancy_means_invariant_across_steps(desk_cfg):
@@ -202,6 +179,67 @@ def test_sinr_curve_tracks_analytic_over_kappa(desk_cfg, channel):
         assert abs(est.value - analytic) <= 0.03
 
 
+@pytest.mark.parametrize("cell", [CellType.CSG, CellType.OSG])
+def test_conditional_scores_rao_blackwellise_the_indicator(desk_cfg, channel, cell):
+    # one set of stationary samples scored both ways: the conditional score
+    # of a sample is the expectation of its indicator (or ln(1 + SINR))
+    # score over the serving-link fading, so the means agree and the
+    # variance can only drop.  At -40 dB no indicator is near-constant:
+    # its rarest outcome has probability 2e-3 (open cell, kappa 0.1,
+    # N = 500), about 40 of the 20,000 samples
+    n, users, threshold = 20_000, [500, 4000], 1e-4
+    cfg = replace(desk_cfg, N=users[-1])
+    plan = _plan(scenario="success", replications=1, steps_per_replication=n, warmup_steps=0)
+    rng = np.random.default_rng(47)
+    totals, _ = montecarlo._interference(rng, plan, cfg, channel, "stationary",
+                                         cfg.R_I**2 / cfg.L**2, users)
+    signal = rng.exponential(channel.P_gamma, n) * channel.P_t_h
+    bound = stats.t.ppf(0.9995, n - 1)
+    for kappa in (0.1, 0.9):
+        q = PerformanceQuery(kappa=kappa, threshold=threshold, cell_type=cell)
+        m0 = channel.P_t_h * channel.P_gamma / (kappa * cfg.R) ** channel.beta
+        for j in range(len(users)):
+            interference = totals[cell][:, j]
+            hits, spectral = indicator_scores(signal, interference, channel, q, cfg.R)
+            success, rate = montecarlo._score(interference, channel, m0, threshold)
+            for drawn, conditional in ((hits, success), (channel.W * spectral, rate)):
+                assert conditional.var() < drawn.var(), (kappa, users[j])
+                gap = drawn - conditional
+                assert abs(gap.mean()) <= bound * gap.std(ddof=1) / math.sqrt(n), (kappa, users[j])
+
+
+def _scaled_exp1_mp(x, mpmath):
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.exp(v) * mpmath.e1(v)) for v in map(mpmath.mpf, x)])
+
+
+def test_scaled_exp1_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    # a log grid over [1e-12, 1e12] and both sides of each range boundary
+    x = np.concatenate([np.geomspace(1e-12, 1e12, 2401), np.linspace(0.5, 2.0, 301),
+                        np.linspace(39.0, 41.0, 201),
+                        np.nextafter([1.0, 40.0], 0.0), [1.0, 40.0]])
+    want = _scaled_exp1_mp(x, mpmath)
+    assert np.max(np.abs(montecarlo._scaled_exp1(x) - want) / want) <= 1e-15
+
+
+def test_scaled_exp1_is_non_increasing_and_quiet():
+    # grid steps move the function by at least 3e-5 relative, far beyond
+    # its rounding, so any rise is a defect; the fine grids straddle the
+    # range boundaries at 1 and 40
+    for x in (np.geomspace(1e-300, 1e300, 60_001), np.linspace(0.9, 1.1, 2001),
+              np.linspace(39.0, 41.0, 2001)):
+        assert np.all(np.diff(montecarlo._scaled_exp1(x)) <= 0.0)
+    edges = np.array([5e-324, 1e-300, 1e-12, 709.0, 710.0, 1e5, 1e300, np.finfo(float).max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = montecarlo._scaled_exp1(edges)
+    assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+    # exp(x) E1(x) -> 1/x as x grows, and -> -ln(x) - gamma as x -> 0
+    assert values[-1] == pytest.approx(1.0 / edges[-1], rel=1e-15)
+    assert values[0] == pytest.approx(-math.log(5e-324) - 0.5772156649015329, rel=1e-15)
+
+
 N_GRID = (2000, 500, 4000, 1000)          # in no order: results follow the configs
 
 
@@ -281,7 +319,10 @@ def test_bit_identical_reruns(desk_cfg, channel):
 # snapshot of ring and inner users; stationary runs now count their floor
 # redraws too.  Some moved in their last bits when the per-snapshot sums
 # moved from ``np.bincount`` to ``np.add.reduceat``, which sums in another
-# order.
+# order.  The SINR values of both modes were re-recorded when each sample
+# began to be scored by its conditional success and rate given the
+# interference (no serving-link fading is drawn); the interference values
+# did not move.
 FROZEN_CFG = NetworkConfig(N=300, L=50.0, R=6.0, R_I=12.0, delta=5.0)
 FROZEN_PLAN = dict(replications=2, steps_per_replication=30, warmup_steps=5, seed=11)
 FROZEN_THRESHOLD = 4e-4
@@ -315,12 +356,12 @@ def test_outputs_frozen_bit_for_bit(channel):
                 3,
             ),
             CellType.CSG: (
-                ("0x1.47ae147ae147bp-2", "0x1.eb851eb851eb8p-4", 50),
-                ("0x1.ef03cde74009ap+10", "0x1.89a3e2df6d0c0p+9", 50),
+                ("0x1.5d023e8782a6ap-2", "0x1.b805e914d5608p-6", 50),
+                ("0x1.244e8d4ff7b28p+11", "0x1.bb8326b0ac101p+8", 50),
             ),
             CellType.OSG: (
-                ("0x1.47ae147ae147bp-1", "0x1.47ae147ae1478p-4", 50),
-                ("0x1.7b468e46c3bf2p+12", "0x1.4a9101a71f16ap+10", 50),
+                ("0x1.58ff91a74dbaap-1", "0x1.43e118cc0db0fp-6", 50),
+                ("0x1.9eea63017abf6p+12", "0x1.42eed909640ffp+6", 50),
             ),
         },
         "stationary": {
@@ -332,12 +373,12 @@ def test_outputs_frozen_bit_for_bit(channel):
                 15,
             ),
             CellType.CSG: (
-                ("0x1.eb851eb851eb8p-5", "0x1.47ae147ae147bp-6", 50),
-                ("0x1.a24d21120ac76p+9", "0x1.05f20ab0b2058p+8", 50),
+                ("0x1.452fe3847e580p-4", "0x1.ea95484143407p-8", 50),
+                ("0x1.787a66957689ep+9", "0x1.afc996575461fp+4", 50),
             ),
             CellType.OSG: (
-                ("0x1.5c28f5c28f5c2p-2", "0x1.47ae147ae1478p-6", 50),
-                ("0x1.1348c51def187p+11", "0x1.4d47aad6f5214p+9", 50),
+                ("0x1.852747b356439p-2", "0x1.b6c3f9a192f3fp-8", 50),
+                ("0x1.0946b5be10291p+11", "0x1.064cb31841c00p+5", 50),
             ),
         },
     }
