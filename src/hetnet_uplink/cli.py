@@ -191,11 +191,13 @@ def _crossing_rows(scenario, manifest, cfg, ch, analytic, plan):
 
 
 def _trace_rows(step, x, y) -> str:
-    """The ``--trace`` lines of one step: step, user, rho and theta
-    (radians in [0, 2*pi)) of every user at (x, y), six decimals."""
-    table = np.column_stack([np.full(x.size, step), np.arange(x.size), np.hypot(x, y),
-                             np.mod(np.arctan2(y, x), 2.0 * np.pi)])
-    return ("%d,%d,%.6f,%.6f\n" * x.size) % tuple(table.ravel().tolist())
+    """The ``--trace`` lines of one step: step, replication, user, rho and
+    theta (radians in [0, 2*pi)) of every user, at (x, y) of shape
+    (replications, users), six decimals, in (replication, user) order."""
+    rep, user = np.indices(x.shape)
+    table = np.column_stack([np.full(x.size, step), rep.ravel(), user.ravel(),
+                             np.hypot(x, y).ravel(), np.mod(np.arctan2(y, x), 2.0 * np.pi).ravel()])
+    return ("%d,%d,%d,%.6f,%.6f\n" * x.size) % tuple(table.ravel().tolist())
 
 
 def _occupancy_rows(scenario, manifest, cfg, ch, analytic, plan):
@@ -203,7 +205,7 @@ def _occupancy_rows(scenario, manifest, cfg, ch, analytic, plan):
     with open(manifest.trace, "w") if manifest.trace else contextlib.nullcontext() as trace:
         hook = None
         if trace is not None:
-            trace.write("step,user,rho,theta\n")
+            trace.write("step,replication,user,rho,theta\n")
 
             def hook(step, x, y):
                 trace.write(_trace_rows(step, x, y))

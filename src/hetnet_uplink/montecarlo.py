@@ -6,6 +6,19 @@ replications are scheduled.  Standard errors always come from the spread
 of replication means; per-step samples are autocorrelated and never feed
 a standard error directly.
 
+Live runs fly all R replications in lockstep, as one (R, N) population
+moved by one ``advance`` call per step; row i draws its flights from
+substream i alone, so, block for block, it draws the numbers it would
+draw flying on its own.  A live block of snapshots holds about
+``BLOCK_DRAWS`` interfering users of all replications together (8 bytes
+of d**2 each, plus one replication's ring and inner copies), after which
+each replication draws its floor redraws and fading from its substream.  A block is therefore
+BLOCK_DRAWS / (R N eta) steps long, R times shorter than if each
+replication flew alone, and a live run longer than one block splits its
+draws between flights and fading at other steps than such a run would:
+other bits, the same law.  Stationary runs and ``run_crossing`` draw one
+replication at a time, whose arrays are already large.
+
 Interference and SINR samples score snapshots of the users in the
 interfering disk, one scorer for both cell types: an open cell hears the
 ring users (R <= d < R_I), a closed cell the ring and the inner users
@@ -150,17 +163,27 @@ def _fly(rng, x, y, cfg):
     return advance(x, y, lengths, directions, cfg.L)
 
 
-def _live_steps(rng, plan: ExperimentPlan, cfg: NetworkConfig):
-    """Positions of a mobile population after each sampled step.
+def _live_steps(rngs, plan: ExperimentPlan, cfg: NetworkConfig):
+    """Positions of one mobile population per replication after each
+    sampled step, all replications flown in lockstep.
 
-    The population starts uniform on the macro disk, the stationary law of
-    the flights, and (x, y, x**2 + y**2) is yielded after each of the
-    ``steps_per_replication - warmup_steps`` flights, each drawn from
-    ``rng`` only when its step is requested.
+    Each population starts uniform on the macro disk, the stationary law of
+    the flights, and (x, y, x**2 + y**2), each of shape (replications, N),
+    is yielded after each of the ``steps_per_replication - warmup_steps``
+    flights, each drawn only when its step is requested.  Row i draws its
+    start and its flights (lengths, then headings) from ``rngs[i]`` alone,
+    so its draws do not depend on the other rows.
     """
-    x, y = _uniform_positions(rng, cfg.N, 0.0, cfg.L)
+    shape = (len(rngs), cfg.N)
+    x, y, u, v = (np.empty(shape) for _ in range(4))
+    for rng, xi, yi in zip(rngs, x, y):
+        xi[:], yi[:] = _uniform_positions(rng, cfg.N, 0.0, cfg.L)
     for _ in range(plan.steps_per_replication - plan.warmup_steps):
-        x, y = _fly(rng, x, y, cfg)
+        for rng, ui, vi in zip(rngs, u, v):
+            rng.random(out=ui)
+            rng.random(out=vi)
+        x, y = advance(x, y, sample_flight_length(1.0 - u, cfg.alpha, cfg.delta),
+                       sample_direction(v), cfg.L)
         yield x, y, x * x + y * y
 
 
@@ -190,24 +213,19 @@ def run_occupancy(
 ) -> OccupancyRun:
     """Time statistics of the in-cell count on a mobile population, over
     every sampled step; ``trace_hook(step, x, y)`` sees the positions after
-    each of them."""
+    each of them, one row of x and y per replication."""
     r = _radius(cfg, r_disk)
     post = plan.steps_per_replication - plan.warmup_steps
-    means, variances = [], []
-    histogram = np.zeros(cfg.N + 1, dtype=np.int64)
-    for rng in _substreams(plan.seed, plan.replications):
-        counts = np.empty(post, dtype=np.int64)
-        for step, (x, y, r2) in enumerate(_live_steps(rng, plan, cfg)):
-            counts[step] = int((r2 < r * r).sum())
-            if trace_hook is not None:
-                trace_hook(step, x, y)
-        means.append(counts.mean())
-        variances.append(counts.var(ddof=1))
-        histogram += np.bincount(counts, minlength=cfg.N + 1)
+    rngs = _substreams(plan.seed, plan.replications)
+    counts = np.empty((plan.replications, post), dtype=np.int64)
+    for step, (x, y, r2) in enumerate(_live_steps(rngs, plan, cfg)):
+        counts[:, step] = np.count_nonzero(r2 < r * r, axis=1)
+        if trace_hook is not None:
+            trace_hook(step, x, y)
     return OccupancyRun(
-        mean=_pool(means, post),
-        variance=_pool(variances, post),
-        histogram=histogram,
+        mean=_pool([c.mean() for c in counts], post),
+        variance=_pool([c.var(ddof=1) for c in counts], post),
+        histogram=np.bincount(counts.ravel(), minlength=cfg.N + 1),
     )
 
 
@@ -226,22 +244,36 @@ def _stationary_interference(rng, n, cfg, eta, chunks):
             _uniform_annulus(rng, int(k_inner.sum()), 0.0, cfg.R), k_ring, k_inner)
 
 
-def _live_snapshots(rng, plan, cfg, bounds, size):
-    """Snapshots of one mobile population of ``cfg.N`` users, one per
-    sampled step, in blocks of up to ``size`` as ``_stationary_interference``
-    returns them: chunk j holds the users with bounds[j] <= index <
-    bounds[j + 1]."""
-    chunks = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+def _live_snapshots(rngs, plan, cfg, bounds, size):
+    """Snapshots of one mobile population of ``cfg.N`` users per
+    replication, one per sampled step, all replications flown together by
+    ``_live_steps`` in blocks of up to ``size`` steps.  Yields, per block
+    and replication, (replication, ring d**2, inner d**2, ring counts,
+    inner counts) as ``_stationary_interference`` returns them: chunk j
+    holds the users with bounds[j] <= index < bounds[j + 1], and the d**2
+    lists run in (step, user) order.
+
+    A step keeps only the d**2 of the users inside the interfering disk, in
+    (replication, user) order, where each replication's share starts, and
+    the counts per (replication, chunk, inner or ring)."""
+    reps, n_chunks = len(rngs), bounds.size - 1
 
     def snapshot(r2):
-        ring, inner = (r2 >= cfg.R**2) & (r2 < cfg.R_I**2), r2 < cfg.R**2
-        return (r2[ring], r2[inner], [np.count_nonzero(ring[a:b]) for a, b in chunks],
-                [np.count_nonzero(inner[a:b]) for a, b in chunks])
+        kept = np.flatnonzero(r2 < cfg.R_I**2)
+        d2 = r2.ravel()[kept]
+        rep, user = np.divmod(kept, max(cfg.N, 1))
+        chunk = np.searchsorted(bounds[1:-1], user, side="right")
+        counts = np.bincount((rep * n_chunks + chunk) * 2 + (d2 < cfg.R**2),
+                             minlength=reps * n_chunks * 2)
+        return d2, np.searchsorted(rep, np.arange(reps + 1)), counts
 
-    steps = (snapshot(r2) for _, _, r2 in _live_steps(rng, plan, cfg))
+    steps = (snapshot(r2) for _, _, r2 in _live_steps(rngs, plan, cfg))
     while block := list(itertools.islice(steps, size)):
-        ring, inner, k_ring, k_inner = zip(*block)
-        yield np.concatenate(ring), np.concatenate(inner), np.array(k_ring), np.array(k_inner)
+        counts = np.array([c for _, _, c in block]).reshape(len(block), reps, n_chunks, 2)
+        for i in range(reps):
+            d2 = np.concatenate([d2[at[i]:at[i + 1]] for d2, at, _ in block])
+            inner = d2 < cfg.R**2
+            yield i, d2[~inner], d2[inner], counts[:, i, :, 0], counts[:, i, :, 1]
 
 
 def _power_sums(rng, d2, counts, ch):
@@ -263,36 +295,46 @@ def _power_sums(rng, d2, counts, ch):
     return sums.reshape(counts.shape)
 
 
-def _interference(rng, plan, cfg, ch, mode, eta, users):
-    """Total-interference samples of one replication for each cell type,
-    one row per sampled step and one column per user count in ``users``
-    (ascending, the last equal to ``cfg.N``), and the number of floor
-    redraws.  An N-user sample holds the first N of the ``cfg.N`` users,
-    so each column adds the next chunk of users to the one before it
-    (common random numbers across the counts).  Inner users closer than 1 m are
-    redrawn on [1, R_I]; each user gets one fading draw, shared by both
-    cell types.  Blocks hold about ``BLOCK_DRAWS`` users.
+def _interference(rngs, plan, cfg, ch, mode, eta, users):
+    """Total-interference samples of each replication (one substream in
+    ``rngs`` each) for each cell type, one row per sampled step and one
+    column per user count in ``users`` (ascending, the last equal to
+    ``cfg.N``), and the number of floor redraws: a list of (samples,
+    redraws) with one pair per replication.  An N-user sample holds the
+    first N of the ``cfg.N`` users, so each column adds the next chunk of
+    users to the one before it (common random numbers across the counts).
+    Inner users closer than 1 m are redrawn on [1, R_I]; each user gets one
+    fading draw, shared by both cell types.  A block of snapshots holds
+    about ``BLOCK_DRAWS`` users: of one replication in stationary mode, of
+    all replications in live mode, which flies them in lockstep.  Fading
+    and floor redraws are drawn per replication after each block.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     bounds = np.array([0, *users])
     n = plan.steps_per_replication - plan.warmup_steps
-    size = max(1, int(BLOCK_DRAWS / max(cfg.N * eta, 1.0)))
     if mode == "stationary":
-        blocks = (_stationary_interference(rng, min(size, n - start), cfg, eta, np.diff(bounds))
-                  for start in range(0, n, size))
+        size = max(1, int(BLOCK_DRAWS / max(cfg.N * eta, 1.0)))
+        blocks = ((i, *_stationary_interference(rng, min(size, n - start), cfg, eta,
+                                                np.diff(bounds)))
+                  for i, rng in enumerate(rngs) for start in range(0, n, size))
     else:
-        blocks = _live_snapshots(rng, plan, cfg, bounds, size)
-    ring_sums, inner_sums, redrawn = [], [], 0
-    for ring, inner, k_ring, k_inner in blocks:
+        size = max(1, int(BLOCK_DRAWS / max(len(rngs) * cfg.N * eta, 1.0)))
+        blocks = _live_snapshots(rngs, plan, cfg, bounds, size)
+    ring_sums, inner_sums = [[] for _ in rngs], [[] for _ in rngs]
+    redrawn = [0] * len(rngs)
+    for i, ring, inner, k_ring, k_inner in blocks:
         near = np.flatnonzero(inner < 1.0)
-        inner[near] = _uniform_annulus(rng, near.size, 1.0, cfg.R_I)
-        redrawn += near.size
-        ring_sums.append(_power_sums(rng, ring, k_ring, ch))
-        inner_sums.append(_power_sums(rng, inner, k_inner, ch))
-    osg = np.concatenate(ring_sums).cumsum(axis=1)
-    csg = osg + np.concatenate(inner_sums).cumsum(axis=1)
-    return {CellType.OSG: osg, CellType.CSG: csg}, redrawn
+        inner[near] = _uniform_annulus(rngs[i], near.size, 1.0, cfg.R_I)
+        redrawn[i] += near.size
+        ring_sums[i].append(_power_sums(rngs[i], ring, k_ring, ch))
+        inner_sums[i].append(_power_sums(rngs[i], inner, k_inner, ch))
+    runs = []
+    for ring, inner, count in zip(ring_sums, inner_sums, redrawn):
+        osg = np.concatenate(ring).cumsum(axis=1)
+        csg = osg + np.concatenate(inner).cumsum(axis=1)
+        runs.append(({CellType.OSG: osg, CellType.CSG: csg}, count))
+    return runs
 
 
 def run_interference(
@@ -307,8 +349,8 @@ def run_interference(
     eta = _eta(cfg, p_in, p_out)
     n = plan.steps_per_replication - plan.warmup_steps
     stats, resampled = [], 0
-    for rng in _substreams(plan.seed, plan.replications):
-        totals, redrawn = _interference(rng, plan, cfg, ch, mode, eta, [cfg.N])
+    rngs = _substreams(plan.seed, plan.replications)
+    for totals, redrawn in _interference(rngs, plan, cfg, ch, mode, eta, [cfg.N]):
         ic, io = totals[CellType.CSG][:, 0], totals[CellType.OSG][:, 0]
         stats.append((ic.mean(), ic.var(ddof=1), io.mean(), io.var(ddof=1)))
         resampled += redrawn
@@ -401,8 +443,8 @@ def run_sinr(
     m0s = [ch.P_t_h * ch.P_gamma / (target.kappa * largest.R) ** ch.beta for target in queries]
 
     scores = [[([], []) for _ in queries] for _ in users]
-    for rng in _substreams(plan.seed, plan.replications):
-        totals, _ = _interference(rng, plan, largest, ch, mode, eta, users)
+    rngs = _substreams(plan.seed, plan.replications)
+    for totals, _ in _interference(rngs, plan, largest, ch, mode, eta, users):
         for j, column in enumerate(scores):
             for target, m0, (succ, rate) in zip(queries, m0s, column):
                 success, rates = _score(totals[target.cell_type][:, j], ch, m0, target.threshold)

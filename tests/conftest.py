@@ -47,8 +47,8 @@ def strided_occupancy_counts(desk_cfg, probs_at_R):
     counts = np.zeros(desk_cfg.N + 1, dtype=np.int64)
 
     def every_stride(step, x, y):
-        if step % stride == 0:
-            counts[np.count_nonzero(x * x + y * y < desk_cfg.R**2)] += 1
+        if step % stride == 0:      # one row of x and y per replication
+            np.add.at(counts, np.count_nonzero(x * x + y * y < desk_cfg.R**2, axis=1), 1)
 
     run_occupancy(plan, desk_cfg, trace_hook=every_stride)
     counts.setflags(write=False)

@@ -13,12 +13,13 @@ what it checks is the scorer: it draws the serving-link fading that
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 from scipy import integrate, special, stats
 
-from hetnet_uplink import montecarlo
+from hetnet_uplink import CellType, advance, montecarlo, sample_direction, sample_flight_length
 
 
 def trace_flight(x, y, length, direction, L):
@@ -48,6 +49,45 @@ def trace_flight(x, y, length, direction, L):
     else:
         raise RuntimeError("flight trace did not terminate")
     return x, y, crossings
+
+
+def live_steps(rng, plan, cfg):
+    """One replication's mobile population flown on its own: a uniform
+    start on the macro disk, then one flight per user and sampled step,
+    lengths then headings drawn from ``rng``; yields (x, y, x**2 + y**2)
+    after each step."""
+    x, y = montecarlo._uniform_positions(rng, cfg.N, 0.0, cfg.L)
+    for _ in range(plan.steps_per_replication - plan.warmup_steps):
+        lengths = sample_flight_length(1.0 - rng.random(cfg.N), cfg.alpha, cfg.delta)
+        directions = sample_direction(rng.random(cfg.N))
+        x, y = advance(x, y, lengths, directions, cfg.L)
+        yield x, y, x * x + y * y
+
+
+def live_interference(rng, plan, cfg, ch, users, size):
+    """One replication's live interference samples and floor redraws, its
+    population flown on its own by ``live_steps``: after each block of
+    ``size`` steps, the ring and inner users of every step in (step, user)
+    order, counted per chunk of user indices between consecutive counts
+    in ``users``, get their floor redraws and fading from ``rng``."""
+    bounds = [0, *users]
+    chunks = list(zip(bounds, bounds[1:]))
+    ring_sums, inner_sums, redrawn = [], [], 0
+    steps = live_steps(rng, plan, cfg)
+    while block := [r2 for _, _, r2 in itertools.islice(steps, size)]:
+        rings = [(r2 >= cfg.R**2) & (r2 < cfg.R_I**2) for r2 in block]
+        inners = [r2 < cfg.R**2 for r2 in block]
+        ring = np.concatenate([r2[m] for r2, m in zip(block, rings)])
+        inner = np.concatenate([r2[m] for r2, m in zip(block, inners)])
+        near = np.flatnonzero(inner < 1.0)
+        inner[near] = montecarlo._uniform_annulus(rng, near.size, 1.0, cfg.R_I)
+        redrawn += near.size
+        for d2, masks, sums in ((ring, rings, ring_sums), (inner, inners, inner_sums)):
+            counts = np.array([[m[a:b].sum() for a, b in chunks] for m in masks])
+            sums.append(montecarlo._power_sums(rng, d2, counts, ch))
+    osg = np.concatenate(ring_sums).cumsum(axis=1)
+    return {CellType.OSG: osg, CellType.CSG: osg + np.concatenate(inner_sums).cumsum(axis=1)}, \
+        redrawn
 
 
 def power_iteration(P, tol=1e-14, max_iter=200_000):
@@ -381,7 +421,8 @@ def indicator_sinr(plan, cfg, ch, queries):
     eta = cfg.R_I**2 / cfg.L**2
     scores = [([], []) for _ in queries]
     for rng in montecarlo._substreams(plan.seed, plan.replications):
-        totals, _ = montecarlo._interference(rng, plan, cfg, ch, "stationary", eta, [cfg.N])
+        [(totals, _)] = montecarlo._interference([rng], plan, cfg, ch, "stationary", eta,
+                                                 [cfg.N])
         signal = rng.exponential(ch.P_gamma, n) * ch.P_t_h
         for query, (succ, rate) in zip(queries, scores):
             hits, spectral = indicator_scores(signal, totals[query.cell_type][:, 0], ch, query,

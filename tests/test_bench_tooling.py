@@ -8,7 +8,9 @@ so that renaming one of those names or changing one of those signatures
 fails here rather than in ``bench/run.py --trace 1`` or ``bench/selftest.py``.
 The tracer also wraps the Monte Carlo helpers ``_stationary_interference``
 and ``_uniform_annulus`` only if they are there, so a renamed helper would
-silently zero the draw counts; the second test pins those hooks.
+silently zero the draw counts; the second test pins those hooks.  The
+third pins what the live per-layer metrics read: ``mobility.advance`` spans
+under each live run, with the users flown as their work.
 """
 import sys
 from pathlib import Path
@@ -91,3 +93,40 @@ def test_bench_tracer_sees_the_monte_carlo_draws(monkeypatch, channel):
     metrics = tracing.layer_metrics(tracer, {})
     assert metrics["montecarlo.resampled"] == live.resampled
     assert metrics["montecarlo.interferer_draws"] > 0
+
+
+def test_bench_tracer_sees_the_live_flights(monkeypatch, channel):
+    # every replication of a live run flies in one ``advance`` call per
+    # step, whose span sits under the run's and whose work is the users
+    # flown: replications x users x sampled steps
+    from test_montecarlo import FROZEN_CFG, FROZEN_PLAN
+
+    tracing, _ = _import_bench(monkeypatch)
+    plan = montecarlo.ExperimentPlan("interference", **FROZEN_PLAN)
+    q = performance.PerformanceQuery(kappa=0.9, threshold=4e-4)
+    runs = {
+        "montecarlo.run_occupancy": lambda: montecarlo.run_occupancy(plan, FROZEN_CFG),
+        "montecarlo.run_interference": lambda: montecarlo.run_interference(
+            plan, FROZEN_CFG, channel, "live"),
+        "montecarlo.run_sinr": lambda: montecarlo.run_sinr(plan, FROZEN_CFG, channel, q, "live"),
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.span(tracing.SETUP):
+            for run in runs.values():
+                run()
+    finally:
+        tracer.restore()
+
+    spans = tracer.arrays()
+    names = spans["names"][spans["name"]]
+    parents = np.where(spans["parent"] >= 0, names[spans["parent"]], "")
+    steps = plan.steps_per_replication - plan.warmup_steps
+    for label in runs:
+        flights = (names == "mobility.advance") & (parents == label)
+        assert flights.sum() == steps, label
+        assert spans["work"][flights].sum() == plan.replications * FROZEN_CFG.N * steps, label
+    metrics = tracing.layer_metrics(tracer, {})
+    assert metrics["mobility.advance_calls"] == len(runs) * steps
+    assert metrics["mobility.user_steps_per_s"] > 0.0

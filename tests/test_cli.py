@@ -174,7 +174,7 @@ def test_occupancy_trace_flag_writes_positions(tmp_path, config_file):
     ])
     assert status == 0
     lines = trace.read_text().splitlines()
-    assert lines[0] == "step,user,rho,theta"
+    assert lines[0] == "step,replication,user,rho,theta"
     assert len(lines) == 1 + 20 * 500         # steps x users
 
 
@@ -188,9 +188,11 @@ def test_trace_rows_match_the_per_user_writer():
     y = np.concatenate([[0.0, 0.0, -1e-12, -0.0, -1e-9, -4.0], rho * np.sin(theta)])
     rho, theta = np.hypot(x, y), np.mod(np.arctan2(y, x), 2 * np.pi)
     for step in (0, 7, 123_456):
-        per_user = "".join(f"{step},{user},{r:.6f},{t:.6f}\n"
-                           for user, (r, t) in enumerate(zip(rho, theta)))
-        assert _trace_rows(step, x, y) == per_user
+        # one row of positions per replication, rows in (replication, user) order
+        per_user = "".join(f"{step},{rep},{user},{r:.6f},{t:.6f}\n"
+                           for rep in range(2) for user, (r, t) in
+                           enumerate(zip(rho[rep * 503:][:503], theta[rep * 503:][:503])))
+        assert _trace_rows(step, x.reshape(2, 503), y.reshape(2, 503)) == per_user
 
 
 def test_console_entry_point_runs():
@@ -238,15 +240,15 @@ DENSITY_SWEEP = ["--scenario", "density_sweep", "--sweep", "n=500,1000"]
 
 
 @pytest.mark.parametrize("mode, sampler, calls, sweep", [
-    pytest.param("live", "advance", 2 * 10, KAPPA_SWEEP,       # replications x steps
-                 id="live-advance-20"),
+    pytest.param("live", "advance", 10, KAPPA_SWEEP,   # steps: the replications fly together
+                 id="live-advance-10"),
     pytest.param("stationary", "_stationary_interference", 2, KAPPA_SWEEP,   # replications
                  id="stationary-_stationary_interference-2"),
     # replications: every user count and both cell types share one draw
     pytest.param("stationary", "_stationary_interference", 2, DENSITY_SWEEP,
                  id="density-stationary-_stationary_interference-2"),
-    # replications x steps: one population of the largest count
-    pytest.param("live", "advance", 2 * 10, DENSITY_SWEEP, id="density-live-advance-20"),
+    # steps: one population of the largest count per replication, flown together
+    pytest.param("live", "advance", 10, DENSITY_SWEEP, id="density-live-advance-10"),
 ])
 def test_kappa_sweep_samples_once(tmp_path, config_file, monkeypatch, mode, sampler, calls,
                                   sweep):

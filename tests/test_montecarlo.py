@@ -18,7 +18,7 @@ from hetnet_uplink import (
     run_sinr,
 )
 
-from oracles import indicator_scores, pooled_chisquare_p_value
+from oracles import indicator_scores, live_interference, live_steps, pooled_chisquare_p_value
 
 T60 = 1e-6
 
@@ -191,8 +191,8 @@ def test_conditional_scores_rao_blackwellise_the_indicator(desk_cfg, channel, ce
     cfg = replace(desk_cfg, N=users[-1])
     plan = _plan(scenario="success", replications=1, steps_per_replication=n, warmup_steps=0)
     rng = np.random.default_rng(47)
-    totals, _ = montecarlo._interference(rng, plan, cfg, channel, "stationary",
-                                         cfg.R_I**2 / cfg.L**2, users)
+    [(totals, _)] = montecarlo._interference([rng], plan, cfg, channel, "stationary",
+                                             cfg.R_I**2 / cfg.L**2, users)
     signal = rng.exponential(channel.P_gamma, n) * channel.P_t_h
     bound = stats.t.ppf(0.9995, n - 1)
     for kappa in (0.1, 0.9):
@@ -253,8 +253,8 @@ def test_sinr_density_sweep_monotone(desk_cfg, channel):
     for mode, steps in (("stationary", 5_000), ("live", 150)):
         plan = _plan(scenario="density_sweep", replications=4, steps_per_replication=steps,
                      warmup_steps=0, seed=29)
-        totals, _ = montecarlo._interference(
-            np.random.default_rng(29), plan, replace(desk_cfg, N=users[-1]), channel, mode,
+        [(totals, _)] = montecarlo._interference(
+            [np.random.default_rng(29)], plan, replace(desk_cfg, N=users[-1]), channel, mode,
             desk_cfg.R_I**2 / desk_cfg.L**2, users)
         for cell in (CellType.CSG, CellType.OSG):
             steps_up = np.diff(totals[cell], axis=1)
@@ -412,6 +412,55 @@ def test_live_warmup_steps_fly_no_flights(channel):
         run_sinr(cold, FROZEN_CFG, channel, q, "live")
 
 
+@pytest.mark.parametrize("block_draws", [montecarlo.BLOCK_DRAWS, 200],
+                         ids=["one-block", "multi-block"])
+@pytest.mark.parametrize("replications", [1, 3])
+def test_live_runs_do_not_depend_on_replication_scheduling(channel, monkeypatch, replications,
+                                                           block_draws):
+    # the replications of a live run fly in one lockstep array; flown one at
+    # a time by the oracle stepper, in blocks of as many steps, each draws
+    # the same numbers from its substream, so every pooled output agrees bit
+    # for bit.  A block bounds the users of all replications together, so
+    # 200 draws give 11 steps a block at 1 replication and 3 at 3.  At 75
+    # sampled steps the floor redraws fire in both first substreams
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", block_draws)
+    cfg = FROZEN_CFG
+    plan = _plan(**{**FROZEN_PLAN, "replications": replications, "steps_per_replication": 80})
+    n = plan.steps_per_replication - plan.warmup_steps
+    size = max(1, int(block_draws / (replications * cfg.N * cfg.R_I**2 / cfg.L**2)))
+
+    def substreams():
+        return montecarlo._substreams(plan.seed, replications)
+
+    counts = [np.array([np.count_nonzero(r2 < cfg.R**2) for *_, r2 in live_steps(rng, plan, cfg)])
+              for rng in substreams()]
+    occ = run_occupancy(plan, cfg)
+    assert occ.mean == montecarlo._pool([c.mean() for c in counts], n)
+    assert occ.variance == montecarlo._pool([c.var(ddof=1) for c in counts], n)
+    assert np.array_equal(occ.histogram, sum(np.bincount(c, minlength=cfg.N + 1) for c in counts))
+
+    runs = [live_interference(rng, plan, cfg, channel, [cfg.N], size) for rng in substreams()]
+    stats = [(t[CellType.CSG][:, 0].mean(), t[CellType.CSG][:, 0].var(ddof=1),
+              t[CellType.OSG][:, 0].mean(), t[CellType.OSG][:, 0].var(ddof=1)) for t, _ in runs]
+    want = montecarlo.InterferenceRun(*(montecarlo._pool(c, n) for c in zip(*stats)),
+                                      sum(redrawn for _, redrawn in runs))
+    assert want.resampled > 0                           # the floor redraws fire
+    assert run_interference(plan, cfg, channel, "live") == want
+
+    queries = [PerformanceQuery(kappa=0.9, threshold=FROZEN_THRESHOLD, cell_type=cell)
+               for cell in (CellType.CSG, CellType.OSG)]
+    m0 = channel.P_t_h * channel.P_gamma / (0.9 * cfg.R) ** channel.beta
+    for users in ([cfg.N], [100, cfg.N]):
+        runs = [live_interference(rng, plan, cfg, channel, users, size)[0]
+                for rng in substreams()]
+        scores = [[[montecarlo._score(t[q.cell_type][:, j], channel, m0, q.threshold)
+                    for t in runs] for q in queries] for j in range(len(users))]
+        want = [[tuple(montecarlo._pool([float(s[k].mean()) for s in per_rep], n)
+                       for k in range(2)) for per_rep in column] for column in scores]
+        assert run_sinr(plan, [replace(cfg, N=u) for u in users], channel, queries,
+                        "live") == want
+
+
 @pytest.mark.parametrize("mode", ["stationary", "live"])
 @pytest.mark.parametrize("cell", [CellType.CSG, CellType.OSG])
 @pytest.mark.parametrize("cfg", [FROZEN_CFG, NetworkConfig(N=300, delta=30.0)],
@@ -473,21 +522,23 @@ def test_stationary_snapshot_counts_follow_the_multinomial_split(desk_cfg):
 
 def test_live_chunk_counts_are_the_prefix_counts(desk_cfg):
     # the chunk-j counts of a step are the ring and inner users among the
-    # users with index in [N_(j-1), N_j), in index order
+    # users with index in [N_(j-1), N_j), in index order, each replication
+    # counted on its own row of the lockstep population
     cfg = replace(desk_cfg, N=4000)
     bounds = np.array([0, 500, 1000, 2000, 4000])
     plan = _plan(steps_per_replication=12, warmup_steps=0)
-    [(ring, inner, k_ring, k_inner)] = montecarlo._live_snapshots(
-        np.random.default_rng(6), plan, cfg, bounds, 12)
-    r2s = [r2 for _, _, r2 in montecarlo._live_steps(np.random.default_rng(6), plan, cfg)]
-    assert k_ring.shape == k_inner.shape == (12, 4)
-    in_ring = [(r2 >= cfg.R**2) & (r2 < cfg.R_I**2) for r2 in r2s]
-    in_inner = [r2 < cfg.R**2 for r2 in r2s]
-    for j, n_j in enumerate(bounds[1:]):
-        assert k_ring[:, :j + 1].sum(axis=1).tolist() == [m[:n_j].sum() for m in in_ring]
-        assert k_inner[:, :j + 1].sum(axis=1).tolist() == [m[:n_j].sum() for m in in_inner]
-    assert np.array_equal(ring, np.concatenate([r2[m] for r2, m in zip(r2s, in_ring)]))
-    assert np.array_equal(inner, np.concatenate([r2[m] for r2, m in zip(r2s, in_inner)]))
+    blocks = list(montecarlo._live_snapshots(montecarlo._substreams(6, 2), plan, cfg, bounds, 12))
+    assert [i for i, *_ in blocks] == [0, 1]
+    for (_, ring, inner, k_ring, k_inner), rng in zip(blocks, montecarlo._substreams(6, 2)):
+        r2s = [r2 for _, _, r2 in live_steps(rng, plan, cfg)]
+        assert k_ring.shape == k_inner.shape == (12, 4)
+        in_ring = [(r2 >= cfg.R**2) & (r2 < cfg.R_I**2) for r2 in r2s]
+        in_inner = [r2 < cfg.R**2 for r2 in r2s]
+        for j, n_j in enumerate(bounds[1:]):
+            assert k_ring[:, :j + 1].sum(axis=1).tolist() == [m[:n_j].sum() for m in in_ring]
+            assert k_inner[:, :j + 1].sum(axis=1).tolist() == [m[:n_j].sum() for m in in_inner]
+        assert np.array_equal(ring, np.concatenate([r2[m] for r2, m in zip(r2s, in_ring)]))
+        assert np.array_equal(inner, np.concatenate([r2[m] for r2, m in zip(r2s, in_inner)]))
 
 
 @pytest.mark.parametrize("counts", [
@@ -525,8 +576,8 @@ def test_snapshots_come_in_blocks_of_bounded_size(channel, monkeypatch, mode):
     plan = _plan(scenario="interference", replications=2, steps_per_replication=60,
                  warmup_steps=5)
     rng = np.random.default_rng(3)
-    totals, _ = montecarlo._interference(rng, plan, FROZEN_CFG, channel, mode,
-                                         FROZEN_CFG.R_I**2 / FROZEN_CFG.L**2, [FROZEN_CFG.N])
+    [(totals, _)] = montecarlo._interference([rng], plan, FROZEN_CFG, channel, mode,
+                                             FROZEN_CFG.R_I**2 / FROZEN_CFG.L**2, [FROZEN_CFG.N])
     for total in totals.values():
         assert total.shape == (55, 1) and np.all(np.isfinite(total))
     assert np.all(totals[CellType.CSG] >= totals[CellType.OSG])
