@@ -65,6 +65,24 @@ def test_direction_uniform_over_sectors():
 
 # ---------------------------------------------------------------- geometry
 
+def test_heading_is_the_cosine_and_sine_of_the_angle():
+    # advance takes its unit heading from the half-angle tangent; a unit
+    # flight from the center ends exactly on it.  Random angles, the quarter
+    # turns (at u = 1/2, tan(a/2) is next to its pole) and the last float
+    # below a full turn; pytest turns a RuntimeWarning into an error
+    mpmath = pytest.importorskip("mpmath")
+    u = np.concatenate([np.random.default_rng(7).random(4000),
+                        [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]])
+    direction = sample_direction(u)
+    ux, uy = advance(0.0, 0.0, 1.0, direction, L)
+    with mpmath.workdps(40):
+        cos = np.array([float(mpmath.cos(mpmath.mpf(a))) for a in direction])
+        sin = np.array([float(mpmath.sin(mpmath.mpf(a))) for a in direction])
+    assert np.abs(ux - cos).max() <= 4.5e-16
+    assert np.abs(uy - sin).max() <= 4.5e-16
+    assert np.abs(ux * ux + uy * uy - 1.0).max() <= 4.5e-16
+
+
 def test_apply_flight_straight_line():
     assert advance(0.0, 0.0, L / 2, 0.0, L) == pytest.approx((L / 2, 0.0))
 
