@@ -41,6 +41,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from .config import (CellType, ChannelConfig, ConfigError, NetworkConfig, db_to_linear,
                      dbm_to_watts, load_config, validate)
@@ -130,28 +131,41 @@ def _mc(estimate, scale=1.0):
     return scale * estimate.value, scale * estimate.std_error
 
 
-def _within_3se(checks, name, analytic, value, se, tol=None, show_tol=False):
+def _t_quantile(replications):
+    """Student-t quantile on ``replications - 1`` degrees of freedom at the
+    two-sided level of 3 sigma (0.27%): the multiple of the SE of a mean of
+    replication means that a true value misses by chance 0.27% of the time.
+    235.8 at 1 degree of freedom, 9.22 at 3 and 4.53 at 7; NaN for one
+    replication, which gives no SE."""
+    if replications < 2:
+        return math.nan
+    return float(special.stdtrit(replications - 1, special.ndtr(3.0)))
+
+
+def _within_t(checks, name, analytic, value, se, replications, tol=None, show_tol=False):
     """The gap |analytic - value|, or None when either engine is off.
 
-    With both values present, appends the check gap <= 3 se; a NaN SE
-    (one replication) bounds nothing and adds no check.  ``tol(analytic,
-    se)`` replaces that bound where given.
+    With both values present, appends the check gap <= k se, k the
+    ``_t_quantile`` of ``replications``; a NaN SE (one replication) bounds
+    nothing and adds no check.  ``tol(analytic, se, k)`` replaces that
+    bound where given.
     """
     if analytic is None or value is None:
         return None
     gap = abs(analytic - value)
-    bound = tol(analytic, se) if tol else None if math.isnan(se) else 3.0 * se
-    if bound is not None:
+    k = _t_quantile(replications)
+    bound = tol(analytic, se, k) if tol else k * se
+    if not math.isnan(bound):
         detail = f"gap={gap:.3g} (tol {bound:.3g})" if show_tol else f"gap={gap:.3g}"
         checks.append(Check(name, gap <= bound, detail))
     return gap
 
 
 # analytic-vs-MC bound of each SINR metric: success within 0.03, rate
-# within 3 SE, or within 2% when one replication gives no SE
+# within k SE, or within 2% when one replication gives no SE
 METRIC_TOL = {
-    "success": lambda a, se: 0.03,
-    "rate": lambda a, se: 0.02 * a if math.isnan(se) else 3.0 * se,
+    "success": lambda a, se, k: 0.03,
+    "rate": lambda a, se, k: 0.02 * a if math.isnan(se) else k * se,
 }
 
 
@@ -165,17 +179,19 @@ def _crossing_rows(scenario, manifest, cfg, ch, analytic, plan):
         out_mc, out_se = _mc(est and est.p_out)
         flights = est and est.p_in.sample_count
 
-        def bound(a, se):
-            # 3 SE, the SE floored at the binomial SE of the analytic value
+        def bound(a, se, k):
+            # k SE, the SE floored at the binomial SE of the analytic value
             # over the flights run: replications whose flights all ended
-            # alike report SE 0, and one replication reports NaN
+            # alike report SE 0.  One replication reports NaN and keeps
+            # the floor, a known-variance SE, at the normal 3 sigma
             floor = math.sqrt(a * (1.0 - a) / flights)
-            return 3.0 * (floor if math.isnan(se) else max(se, floor))
+            return 3.0 * floor if math.isnan(se) else k * max(se, floor)
 
-        out_gap = _within_3se(checks, f"crossing:p_out@delta={delta}", cp and cp.p_out,
-                              out_mc, out_se, tol=bound)
-        in_gap = _within_3se(checks, f"crossing:p_in@delta={delta}", cp and cp.p_in, in_mc,
-                             in_se, tol=lambda a, se: max(bound(a, se), 0.05 * a))
+        reps = manifest.replications
+        out_gap = _within_t(checks, f"crossing:p_out@delta={delta}", cp and cp.p_out,
+                            out_mc, out_se, reps, tol=bound)
+        in_gap = _within_t(checks, f"crossing:p_in@delta={delta}", cp and cp.p_in, in_mc,
+                           in_se, reps, tol=lambda a, se, k: max(bound(a, se, k), 0.05 * a))
         rows.append({
             "delta": delta,
             "p_in_analytic": cp and cp.p_in,
@@ -227,8 +243,8 @@ def _occupancy_rows(scenario, manifest, cfg, ch, analytic, plan):
                 "mean_se": mean_se,
                 "var_mc": var_mc,
                 "var_se": var_se,
-                "mean_gap": _within_3se(checks, f"occupancy:mean@delta={delta}",
-                                        mean_a, mean_mc, mean_se),
+                "mean_gap": _within_t(checks, f"occupancy:mean@delta={delta}",
+                                      mean_a, mean_mc, mean_se, manifest.replications),
             })
     return rows, checks
 
@@ -249,8 +265,8 @@ def _interference_rows(scenario, manifest, cfg, ch, analytic, plan):
         for key, mean in (("csg", est and est.csg_mean), ("osg", est and est.osg_mean)):
             value, se = _mc(mean)
             row[f"{key}_mean_mc"], row[f"{key}_mean_se"] = value, se
-            _within_3se(checks, f"interference:{key}_mean@delta={delta},{manifest.mode}",
-                        moments[key][0], value, se)
+            _within_t(checks, f"interference:{key}_mean@delta={delta},{manifest.mode}",
+                      moments[key][0], value, se, manifest.replications)
         row["resampled"] = est.resampled if est else None
         rows.append(row)
     return rows, checks
@@ -321,8 +337,9 @@ def _metric_rows(scenario, manifest, cfg, ch, analytic, plan):
             f"{scenario}_analytic": a,
             f"{scenario}_mc": mc,
             f"{scenario}_se": se,
-            f"{scenario}_gap": _within_3se(checks, f"{scenario}@{axis}={value}", a, mc, se,
-                                          METRIC_TOL[scenario], show_tol=True),
+            f"{scenario}_gap": _within_t(checks, f"{scenario}@{axis}={value}", a, mc, se,
+                                        manifest.replications, METRIC_TOL[scenario],
+                                        show_tol=True),
         })
     return rows, checks
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -378,3 +379,17 @@ def test_default_steps_resolve_per_scenario_and_mode(tmp_path, config_file, monk
     assert main([*argv, "--engine", "mc", "--config", str(config_file),
                  "--out", str(tmp_path)]) == 0
     assert planned == [(steps, steps)]
+
+
+def test_check_bound_is_the_student_t_quantile():
+    # analytic-vs-MC checks pass within k SE, k the two-sided 3-sigma
+    # (0.27%) Student-t quantile on replications - 1 degrees of freedom
+    from scipy import stats
+
+    from hetnet_uplink.cli import _t_quantile
+
+    assert math.isnan(_t_quantile(1))
+    for reps, k in ((2, 235.8), (4, 9.22), (8, 4.53)):
+        assert _t_quantile(reps) == pytest.approx(k, abs=0.005)
+        assert _t_quantile(reps) == pytest.approx(stats.t.ppf(stats.norm.cdf(3.0), reps - 1),
+                                                  rel=1e-12)
