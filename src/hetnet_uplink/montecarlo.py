@@ -253,9 +253,10 @@ def _live_snapshots(rngs, plan, cfg, bounds, size):
     holds the users with bounds[j] <= index < bounds[j + 1], and the d**2
     lists run in (step, user) order.
 
-    A step keeps only the d**2 of the users inside the interfering disk, in
-    (replication, user) order, where each replication's share starts, and
-    the counts per (replication, chunk, inner or ring)."""
+    A step keeps three small arrays: the d**2 of the users inside the
+    interfering disk in (replication, user) order, the offset where each
+    replication's users start, and the counts per (replication, chunk,
+    ring or inner)."""
     reps, n_chunks = len(rngs), bounds.size - 1
 
     def snapshot(r2):
@@ -271,7 +272,7 @@ def _live_snapshots(rngs, plan, cfg, bounds, size):
     while block := list(itertools.islice(steps, size)):
         counts = np.array([c for _, _, c in block]).reshape(len(block), reps, n_chunks, 2)
         for i in range(reps):
-            d2 = np.concatenate([d2[at[i]:at[i + 1]] for d2, at, _ in block])
+            d2 = np.concatenate([d2[start[i]:start[i + 1]] for d2, start, _ in block])
             inner = d2 < cfg.R**2
             yield i, d2[~inner], d2[inner], counts[:, i, :, 0], counts[:, i, :, 1]
 
@@ -299,15 +300,14 @@ def _interference(rngs, plan, cfg, ch, mode, eta, users):
     """Total-interference samples of each replication (one substream in
     ``rngs`` each) for each cell type, one row per sampled step and one
     column per user count in ``users`` (ascending, the last equal to
-    ``cfg.N``), and the number of floor redraws: a list of (samples,
-    redraws) with one pair per replication.  An N-user sample holds the
-    first N of the ``cfg.N`` users, so each column adds the next chunk of
-    users to the one before it (common random numbers across the counts).
-    Inner users closer than 1 m are redrawn on [1, R_I]; each user gets one
-    fading draw, shared by both cell types.  A block of snapshots holds
-    about ``BLOCK_DRAWS`` users: of one replication in stationary mode, of
-    all replications in live mode, which flies them in lockstep.  Fading
-    and floor redraws are drawn per replication after each block.
+    ``cfg.N``), and the number of floor redraws: yields one (samples,
+    redraws) pair per replication.  An N-user sample holds the first N of
+    the ``cfg.N`` users, so each column adds the next chunk of users to the
+    one before it (common random numbers across the counts).  A block of
+    snapshots holds about ``BLOCK_DRAWS`` users: of one replication in
+    stationary mode, which yields each replication before drawing the
+    next, and of all replications in live mode, which flies them in
+    lockstep.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -315,12 +315,23 @@ def _interference(rngs, plan, cfg, ch, mode, eta, users):
     n = plan.steps_per_replication - plan.warmup_steps
     if mode == "stationary":
         size = max(1, int(BLOCK_DRAWS / max(cfg.N * eta, 1.0)))
-        blocks = ((i, *_stationary_interference(rng, min(size, n - start), cfg, eta,
-                                                np.diff(bounds)))
-                  for i, rng in enumerate(rngs) for start in range(0, n, size))
+        for rng in rngs:
+            yield from _block_sums([rng], cfg, ch, (
+                (0, *_stationary_interference(rng, min(size, n - start), cfg, eta,
+                                              np.diff(bounds)))
+                for start in range(0, n, size)))
     else:
         size = max(1, int(BLOCK_DRAWS / max(len(rngs) * cfg.N * eta, 1.0)))
-        blocks = _live_snapshots(rngs, plan, cfg, bounds, size)
+        yield from _block_sums(rngs, cfg, ch, _live_snapshots(rngs, plan, cfg, bounds, size))
+
+
+def _block_sums(rngs, cfg, ch, blocks):
+    """Interference samples from blocks of snapshots, each (replication,
+    ring d**2, inner d**2, ring counts, inner counts): inner users closer
+    than 1 m are redrawn on [1, R_I], and each user gets one fading draw,
+    shared by both cell types, all from the replication's substream after
+    its block.  Yields, per replication, the samples of each cell type and
+    the number of floor redraws."""
     ring_sums, inner_sums = [[] for _ in rngs], [[] for _ in rngs]
     redrawn = [0] * len(rngs)
     for i, ring, inner, k_ring, k_inner in blocks:
@@ -329,12 +340,9 @@ def _interference(rngs, plan, cfg, ch, mode, eta, users):
         redrawn[i] += near.size
         ring_sums[i].append(_power_sums(rngs[i], ring, k_ring, ch))
         inner_sums[i].append(_power_sums(rngs[i], inner, k_inner, ch))
-    runs = []
     for ring, inner, count in zip(ring_sums, inner_sums, redrawn):
         osg = np.concatenate(ring).cumsum(axis=1)
-        csg = osg + np.concatenate(inner).cumsum(axis=1)
-        runs.append(({CellType.OSG: osg, CellType.CSG: csg}, count))
-    return runs
+        yield {CellType.OSG: osg, CellType.CSG: osg + np.concatenate(inner).cumsum(axis=1)}, count
 
 
 def run_interference(
