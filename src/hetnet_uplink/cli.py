@@ -211,8 +211,9 @@ def _trace_rows(step, x, y) -> str:
     theta (radians in [0, 2*pi)) of every user, at (x, y) of shape
     (replications, users), six decimals, in (replication, user) order."""
     rep, user = np.indices(x.shape)
+    theta = np.mod(np.arctan2(y, x), 2.0 * np.pi)
     table = np.column_stack([np.full(x.size, step), rep.ravel(), user.ravel(),
-                             np.hypot(x, y).ravel(), np.mod(np.arctan2(y, x), 2.0 * np.pi).ravel()])
+                             np.hypot(x, y).ravel(), theta.ravel()])
     return ("%d,%d,%d,%.6f,%.6f\n" * x.size) % tuple(table.ravel().tolist())
 
 

@@ -12,12 +12,13 @@ substream i alone, so, block for block, it draws the numbers it would
 draw flying on its own.  A live block of snapshots holds about
 ``BLOCK_DRAWS`` interfering users of all replications together (8 bytes
 of d**2 each, plus one replication's ring and inner copies), after which
-each replication draws its floor redraws and fading from its substream.  A block is therefore
-BLOCK_DRAWS / (R N eta) steps long, R times shorter than if each
-replication flew alone, and a live run longer than one block splits its
-draws between flights and fading at other steps than such a run would:
-other bits, the same law.  Stationary runs and ``run_crossing`` draw one
-replication at a time, whose arrays are already large.
+each replication draws its floor redraws and fading from its substream.
+A block is therefore BLOCK_DRAWS / (R N eta) steps long, R times shorter
+than if each replication flew alone, and a live run longer than one
+block splits its draws between flights and fading at other steps than
+such a run would: other bits, the same law.  Stationary runs and
+``run_crossing`` draw one replication at a time, whose arrays are
+already large.
 
 Interference and SINR samples score snapshots of the users in the
 interfering disk, one scorer for both cell types: an open cell hears the
@@ -262,7 +263,7 @@ def _live_snapshots(rngs, plan, cfg, bounds, size):
     def snapshot(r2):
         kept = np.flatnonzero(r2 < cfg.R_I**2)
         d2 = r2.ravel()[kept]
-        rep, user = np.divmod(kept, max(cfg.N, 1))
+        rep, user = np.divmod(kept, cfg.N)
         chunk = np.searchsorted(bounds[1:-1], user, side="right")
         counts = np.bincount((rep * n_chunks + chunk) * 2 + (d2 < cfg.R**2),
                              minlength=reps * n_chunks * 2)

@@ -125,12 +125,13 @@ def test_occupancy_trace_hook_sees_every_step(desk_cfg):
 
 def test_interference_empty_population(channel):
     cfg = NetworkConfig(N=0)
-    run = run_interference(
-        _plan(scenario="interference", replications=2, steps_per_replication=200,
-              warmup_steps=0),
-        cfg, channel)
-    assert run.csg_mean.value == 0.0
-    assert run.osg_mean.value == 0.0
+    for mode in ("stationary", "live"):
+        run = run_interference(
+            _plan(scenario="interference", replications=2, steps_per_replication=200,
+                  warmup_steps=0),
+            cfg, channel, mode)
+        assert run.csg_mean.value == 0.0, mode
+        assert run.osg_mean.value == 0.0, mode
 
 
 def test_interference_live_mode_agrees_with_stationary(desk_cfg, channel):
