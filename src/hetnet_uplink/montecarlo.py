@@ -341,9 +341,10 @@ def _block_sums(rngs, cfg, ch, blocks):
         redrawn[i] += near.size
         ring_sums[i].append(_power_sums(rngs[i], ring, k_ring, ch))
         inner_sums[i].append(_power_sums(rngs[i], inner, k_inner, ch))
-    for ring, inner, count in zip(ring_sums, inner_sums, redrawn):
-        osg = np.concatenate(ring).cumsum(axis=1)
-        yield {CellType.OSG: osg, CellType.CSG: osg + np.concatenate(inner).cumsum(axis=1)}, count
+    for ring_sum, inner_sum, count in zip(ring_sums, inner_sums, redrawn):
+        osg = np.concatenate(ring_sum).cumsum(axis=1)
+        csg = osg + np.concatenate(inner_sum).cumsum(axis=1)
+        yield {CellType.OSG: osg, CellType.CSG: csg}, count
 
 
 def run_interference(
