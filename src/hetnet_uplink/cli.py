@@ -142,31 +142,20 @@ def _t_quantile(replications):
     return float(special.stdtrit(replications - 1, special.ndtr(3.0)))
 
 
-def _within_t(checks, name, analytic, value, se, replications, tol=None, show_tol=False):
+def _within_t(checks, name, analytic, value, se, replications, floor=0.0):
     """The gap |analytic - value|, or None when either engine is off.
 
-    With both values present, appends the check gap <= k se, k the
-    ``_t_quantile`` of ``replications``; a NaN SE (one replication) bounds
-    nothing and adds no check.  ``tol(analytic, se, k)`` replaces that
-    bound where given.
+    With both values present, appends the check gap <= k max(se, floor),
+    k the ``_t_quantile`` of ``replications``; one replication gives no SE
+    and a NaN k, so it bounds nothing and adds no check.
     """
     if analytic is None or value is None:
         return None
     gap = abs(analytic - value)
-    k = _t_quantile(replications)
-    bound = tol(analytic, se, k) if tol else k * se
+    bound = _t_quantile(replications) * max(se, floor)
     if not math.isnan(bound):
-        detail = f"gap={gap:.3g} (tol {bound:.3g})" if show_tol else f"gap={gap:.3g}"
-        checks.append(Check(name, gap <= bound, detail))
+        checks.append(Check(name, gap <= bound, f"gap={gap:.3g} (tol {bound:.3g})"))
     return gap
-
-
-# analytic-vs-MC bound of each SINR metric: success within 0.03, rate
-# within k SE, or within 2% when one replication gives no SE
-METRIC_TOL = {
-    "success": lambda a, se, k: 0.03,
-    "rate": lambda a, se, k: 0.02 * a if math.isnan(se) else k * se,
-}
 
 
 def _crossing_rows(scenario, manifest, cfg, ch, analytic, plan):
@@ -177,21 +166,14 @@ def _crossing_rows(scenario, manifest, cfg, ch, analytic, plan):
         est = run_crossing(plan, c) if plan else None
         in_mc, in_se = _mc(est and est.p_in)
         out_mc, out_se = _mc(est and est.p_out)
-        flights = est and est.p_in.sample_count
-
-        def bound(a, se, k):
-            # k SE, the SE floored at the binomial SE of the analytic value
-            # over the flights run: replications whose flights all ended
-            # alike report SE 0.  One replication reports NaN and keeps
-            # the floor, a known-variance SE, at the normal 3 sigma
-            floor = math.sqrt(a * (1.0 - a) / flights)
-            return 3.0 * floor if math.isnan(se) else k * max(se, floor)
-
-        reps = manifest.replications
-        out_gap = _within_t(checks, f"crossing:p_out@delta={delta}", cp and cp.p_out,
-                            out_mc, out_se, reps, tol=bound)
-        in_gap = _within_t(checks, f"crossing:p_in@delta={delta}", cp and cp.p_in, in_mc,
-                           in_se, reps, tol=lambda a, se, k: max(bound(a, se, k), 0.05 * a))
+        gaps = {}
+        for name, a, value, se in (("p_out", cp and cp.p_out, out_mc, out_se),
+                                   ("p_in", cp and cp.p_in, in_mc, in_se)):
+            # the SE floored at the binomial SE of the analytic value over the
+            # flights run: replications whose flights all ended alike report SE 0
+            floor = math.sqrt(a * (1.0 - a) / est.p_in.sample_count) if cp and est else 0.0
+            gaps[name] = _within_t(checks, f"crossing:{name}@delta={delta}", a, value, se,
+                                   manifest.replications, floor)
         rows.append({
             "delta": delta,
             "p_in_analytic": cp and cp.p_in,
@@ -200,8 +182,8 @@ def _crossing_rows(scenario, manifest, cfg, ch, analytic, plan):
             "p_in_se": in_se,
             "p_out_mc": out_mc,
             "p_out_se": out_se,
-            "p_in_gap": in_gap,
-            "p_out_gap": out_gap,
+            "p_in_gap": gaps["p_in"],
+            "p_out_gap": gaps["p_out"],
         })
     return rows, checks
 
@@ -339,15 +321,15 @@ def _metric_rows(scenario, manifest, cfg, ch, analytic, plan):
             f"{scenario}_mc": mc,
             f"{scenario}_se": se,
             f"{scenario}_gap": _within_t(checks, f"{scenario}@{axis}={value}", a, mc, se,
-                                        manifest.replications, METRIC_TOL[scenario],
-                                        show_tol=True),
+                                        manifest.replications),
         })
     return rows, checks
 
 
 def _density_rows(scenario, manifest, cfg, ch, analytic, plan):
     """Success and rate over user counts, for both cell types, in one
-    ``metrics`` call: the Monte Carlo N-user snapshots are prefixes of the
+    ``metrics`` call, each row checked against Monte Carlo as in
+    ``_metric_rows``: the Monte Carlo N-user snapshots are prefixes of the
     largest population, so the MC rows fall with N sample by sample."""
     metrics = _sinr_metrics(manifest, ch, analytic, plan)
     rows, checks = [], []
@@ -364,6 +346,9 @@ def _density_rows(scenario, manifest, cfg, ch, analytic, plan):
                 row[f"{name}_mc"], row[f"{name}_se"] = value, se
                 if a is not None:
                     series.setdefault((name, cell), []).append(a)
+            for name, (a, value, se) in m.items():
+                row[f"{name}_gap"] = _within_t(checks, f"density:{name}:{cell.value}@n={n}",
+                                               a, value, se, manifest.replications)
             rows.append(row)
     for (metric, cell), values in series.items():
         monotone = all(a >= b - 1e-12 for a, b in zip(values, values[1:]))

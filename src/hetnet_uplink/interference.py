@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
 from .config import CellType, ChannelConfig, NetworkConfig
 from .crossing import _gauss_legendre
@@ -61,10 +62,10 @@ def interferer_moments(ch: ChannelConfig, lo: float, hi: float) -> tuple[float, 
     _check_support(lo, hi)
     beta = ch.beta
     area = hi * hi - lo * lo
-    if abs(beta - 2.0) <= BETA_TOL:
-        e_inv = 2.0 * math.log(hi / lo) / area
-    else:
-        e_inv = 2.0 * (hi ** (2.0 - beta) - lo ** (2.0 - beta)) / ((2.0 - beta) * area)
+    # (hi**a - lo**a)/a with a = 2 - beta, as lo**a ln(hi/lo) exprel(a ln(hi/lo)):
+    # no cancellation as a nears 0, and 2 ln(hi/lo)/area exactly at beta = 2
+    a, log_ratio = 2.0 - beta, math.log(hi / lo)
+    e_inv = 2.0 * lo**a * log_ratio * float(special.exprel(a * log_ratio)) / area
     # the second inverse-power moment has no singularity at beta = 2
     e_inv2 = (hi ** (2.0 - 2.0 * beta) - lo ** (2.0 - 2.0 * beta)) / ((1.0 - beta) * area)
     return ch.P_t_m * ch.P_gamma * e_inv, ch.P_t_m**2 * ch.P_gamma2 * e_inv2

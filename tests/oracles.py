@@ -22,33 +22,46 @@ from scipy import integrate, special, stats
 from hetnet_uplink import CellType, advance, montecarlo, sample_direction, sample_flight_length
 
 
-def trace_flight(x, y, length, direction, L):
-    """Walk one flight from (x, y); teleport to the antipodal boundary
-    point at each exit.  Returns (x', y', macro_crossings)."""
-    ux = math.cos(direction)
-    uy = math.sin(direction)
-    remaining = float(length)
-    crossings = 0
-    zero_jumps = 0
+def trace_flights(x, y, length, direction, L):
+    """Walk flights from (x, y) chord by chord, every unfinished flight one
+    chord per pass: it lands inside the disk, or reaches the edge and is
+    teleported to the antipodal boundary point.  A flight's second
+    zero-length chord (tangent degenerate: going nowhere) ends it where it
+    stands.  Arguments broadcast; returns (x', y', macro_crossings), floats
+    and an int for scalar arguments."""
+    x, y, remaining, direction = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (x, y, length, direction)))
+    shape = x.shape
+    x, y, remaining, direction = (np.array(a).ravel() for a in (x, y, remaining, direction))
+    ux, uy = np.cos(direction), np.sin(direction)
+    x_end, y_end = np.empty_like(x), np.empty_like(y)
+    crossings = np.zeros(x.size, dtype=np.int64)
+    flight = np.arange(x.size)                 # index of each unfinished flight
+    zero_jumps = np.zeros(x.size, dtype=np.int64)
     for _ in range(10_000_000):
+        if not flight.size:
+            break
         b = x * ux + y * uy
         c = x * x + y * y - L * L
-        d = -b + math.sqrt(max(b * b - c, 0.0))
-        if remaining < d:
-            x += remaining * ux
-            y += remaining * uy
-            break
-        if d <= 0.0:
-            zero_jumps += 1
-            if zero_jumps > 1:     # tangent degenerate: going nowhere
-                break
+        d = -b + np.sqrt(np.maximum(b * b - c, 0.0))
+        lands = remaining < d
+        zero_jumps += ~lands & (d <= 0.0)
+        done = lands | (zero_jumps > 1)
+        step = np.where(lands, remaining, 0.0)[done]
+        x_end[flight[done]] = x[done] + step * ux[done]
+        y_end[flight[done]] = y[done] + step * uy[done]
+        go = ~done
+        x, y, ux, uy, remaining, d, flight, zero_jumps = (
+            a[go] for a in (x, y, ux, uy, remaining, d, flight, zero_jumps))
         x = -(x + d * ux)
         y = -(y + d * uy)
         remaining -= d
-        crossings += 1
+        crossings[flight] += 1
     else:
         raise RuntimeError("flight trace did not terminate")
-    return x, y, crossings
+    if not shape:
+        return float(x_end[0]), float(y_end[0]), int(crossings[0])
+    return x_end.reshape(shape), y_end.reshape(shape), crossings.reshape(shape)
 
 
 def live_steps(rng, plan, cfg):

@@ -122,6 +122,12 @@ def test_figure12_columns_monotone(tmp_path, config_file):
     summary = json.loads((tmp_path / "summary.json").read_text())
     names = {c["name"] for c in summary["checks"]}
     assert any("nonincreasing" in n for n in names)
+    # every (N, cell) row is checked against Monte Carlo, as in figures 7-11
+    for r in rows:
+        for metric in ("success", "rate"):
+            assert float(r[f"{metric}_gap"]) >= 0.0
+            assert f"density:{metric}:{r['cell_type']}@n={r['n_users']}" in names
+    assert len(names) == 2 * len(rows) + 4
     assert summary["all_checks_passed"]
 
 
@@ -393,3 +399,31 @@ def test_check_bound_is_the_student_t_quantile():
         assert _t_quantile(reps) == pytest.approx(k, abs=0.005)
         assert _t_quantile(reps) == pytest.approx(stats.t.ppf(stats.norm.cdf(3.0), reps - 1),
                                                   rel=1e-12)
+
+
+def test_within_t_is_the_one_check_rule():
+    # a gap passes within k max(SE, floor), and one replication adds no check
+    from hetnet_uplink.cli import _t_quantile, _within_t
+
+    checks = []
+    assert _within_t(checks, "off", None, 0.5, 0.01, 4) is None
+    assert _within_t(checks, "one", 0.5, 0.7, math.nan, 1) == pytest.approx(0.2)
+    assert checks == []
+    k = _t_quantile(4)
+    _within_t(checks, "se", 1.0, 1.0 + 0.9 * k * 0.01, 0.01, 4)
+    _within_t(checks, "floor", 1.0, 1.0 + 1.1 * k * 0.01, 0.01, 4, floor=0.02)
+    _within_t(checks, "over", 1.0, 1.0 + 1.1 * k * 0.02, 0.01, 4, floor=0.02)
+    assert [(c.name, c.passed) for c in checks] == [("se", True), ("floor", True),
+                                                    ("over", False)]
+    assert checks[1].detail == f"gap={1.1 * k * 0.01:.3g} (tol {k * 0.02:.3g})"
+
+
+@pytest.mark.parametrize("scenario", ["crossing", "success", "rate", "density_sweep"])
+def test_one_replication_writes_rows_and_adds_no_gap_check(tmp_path, config_file, scenario):
+    status = main(["--scenario", scenario, "--config", str(config_file), "--steps", "20",
+                   "--replications", "1", "--out", str(tmp_path)])
+    assert status == 0
+    _, rows = _read_table(tmp_path / f"{scenario}.csv")
+    assert rows and all(r[k] != "" for r in rows for k in r if k.endswith("_mc"))
+    checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert all("nonincreasing" in c["name"] for c in checks)

@@ -4,8 +4,7 @@ same exit codes, console lines, tables and summaries, byte for byte.
 ``cli_frozen.json`` holds, per case, the exit status, stdout, stderr,
 every table file and ``summary.json``, with the temporary directory
 written as ``{tmp}``.  Summaries are compared without ``elapsed_seconds``
-(a timing) and without the ``interference:osg_mean`` checks, which some
-recordings predate; the ``--trace`` file is compared by its SHA-256.
+(a timing); the ``--trace`` file is compared by its SHA-256.
 Every re-recording, and why its values moved, is logged in ``CHANGES.md``.
 """
 import hashlib
@@ -59,9 +58,6 @@ CONFIG = "N = 200\ndelta = 30\ncell_type = CSG\n"
 def _normalize_summary(summary: dict) -> dict:
     summary = dict(summary)
     summary.pop("elapsed_seconds")
-    summary["checks"] = [
-        c for c in summary["checks"] if not c["name"].startswith("interference:osg_mean")
-    ]
     return summary
 
 

@@ -12,7 +12,7 @@ from oracles import (
     incoming_oracle,
     outgoing_oracle,
     second_difference_series,
-    trace_flight,
+    trace_flights,
 )
 
 
@@ -135,7 +135,7 @@ def test_incoming_small_step_small_positive_and_matches_mc():
     p_in = crossing_probabilities(cfg).p_in
     assert 0.0 < p_in < 0.01
     est = _mc_crossing(cfg, 99).p_in
-    assert abs(p_in - est.value) <= 3.0 * est.std_error or abs(p_in - est.value) <= 0.05 * p_in
+    assert abs(p_in - est.value) <= 3.0 * est.std_error
 
 
 def test_reentry_correction_matches_mc_event_frequency(big_step_cfg):
@@ -150,12 +150,9 @@ def test_reentry_correction_matches_mc_event_frequency(big_step_cfg):
     # clipping at 4000 L leaves the landing law unchanged to << 1 SE
     lengths = np.minimum(lengths, 4000.0 * cfg.L)
     dirs = sample_direction(rng.random(n))
-    hits = 0
-    for i in range(n):
-        x0, y0 = rho[i] * math.cos(theta[i]), rho[i] * math.sin(theta[i])
-        x_end, y_end, crossings = trace_flight(x0, y0, lengths[i], dirs[i], cfg.L)
-        hits += crossings >= 1 and math.hypot(x_end, y_end) < cfg.R
-    mc = hits / n
+    x_end, y_end, crossings = trace_flights(rho * np.cos(theta), rho * np.sin(theta), lengths,
+                                            dirs, cfg.L)
+    mc = np.count_nonzero((crossings >= 1) & (np.hypot(x_end, y_end) < cfg.R)) / n
     se = math.sqrt(mc * (1 - mc) / n)
     assert abs(p_re - mc) <= 3.0 * se
 
@@ -198,16 +195,8 @@ def test_giant_steps_are_pure_reentry():
     p_in, p_out = cp.p_in, cp.p_out
     assert 0.0 < p_in < 1.0 and 0.0 < p_out <= 1.0
     run = _mc_crossing(cfg, 404)
-    assert abs(p_out - run.p_out.value) <= max(3.0 * run.p_out.std_error, 2e-3)
-    assert abs(p_in - run.p_in.value) <= max(3.0 * run.p_in.std_error, 0.05 * p_in)
-
-
-def test_flux_identity_across_steps():
-    target = 60.0**2 / 500.0**2
-    for delta in (5.0, 30.0, 100.0):
-        cp = crossing_probabilities(NetworkConfig(delta=delta))
-        ratio = cp.p_in / (cp.p_in + cp.p_out)
-        assert abs(ratio - target) / target <= 0.05
+    assert abs(p_out - run.p_out.value) <= 3.0 * run.p_out.std_error
+    assert abs(p_in - run.p_in.value) <= 3.0 * run.p_in.std_error
 
 
 @pytest.mark.parametrize("delta", [1.0, 5.0, 30.0, 100.0, 150.0, 300.0, 1200.0])

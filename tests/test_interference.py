@@ -44,6 +44,20 @@ def test_osg_moments_closed_forms_at_beta2(channel):
     assert second == pytest.approx(0.1**2 * 2.0 / (R_I**2 * R**2), rel=1e-12)
 
 
+@pytest.mark.parametrize("beta", [2.0 + 2e-9, 2.0 + 1e-8, 2.0 + 1e-6, 2.001, 3.0, 4.0])
+def test_first_moment_matches_mpmath_near_beta2(channel, beta):
+    # (hi**a - lo**a)/a with a = 2 - beta cancels in floating point as a
+    # nears 0: 40 digits keep about 30 after the cancellation
+    mpmath = pytest.importorskip("mpmath")
+    ch = replace(channel, beta=beta)
+    for lo, hi in (DISK, RING):
+        with mpmath.workdps(40):
+            a, lo_, hi_ = 2 - mpmath.mpf(beta), mpmath.mpf(lo), mpmath.mpf(hi)
+            want = (2 * mpmath.mpf(ch.P_t_m) * mpmath.mpf(ch.P_gamma)
+                    * (hi_**a - lo_**a) / (a * (hi_**2 - lo_**2)))
+        assert interferer_moments(ch, lo, hi)[0] == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+
 def test_moments_match_mc_oracles(channel, mc_samples_csg, mc_samples_osg):
     for support, samples in ((DISK, mc_samples_csg), (RING, mc_samples_osg)):
         first, second = interferer_moments(channel, *support)

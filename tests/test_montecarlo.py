@@ -61,10 +61,7 @@ def test_crossing_brackets_analytic_small_step():
     cp = crossing_probabilities(cfg)
     run = run_crossing(_plan(replications=8, steps_per_replication=125_000, seed=21), cfg)
     assert abs(run.p_out.value - cp.p_out) <= 3.0 * run.p_out.std_error
-    assert (
-        abs(run.p_in.value - cp.p_in) <= 3.0 * run.p_in.std_error
-        or abs(run.p_in.value - cp.p_in) <= 0.05 * cp.p_in
-    )
+    assert abs(run.p_in.value - cp.p_in) <= 3.0 * run.p_in.std_error
 
 
 # ---------------------------------------------------------------- occupancy
