@@ -9,7 +9,8 @@ and heading, not over the chord offset), interferer MGFs and average
 rates (by the tail-integral route) from nested adaptive quadrature.  The
 indicator SINR route scores the library's own interference samples, since
 what it checks is the scorer: it draws the serving-link fading that
-``run_sinr`` integrates out.
+``run_sinr`` integrates out.  ``advance_np_mod`` is the flight advance as it
+stood before its chord parity test changed, kept to compare bits with.
 """
 from __future__ import annotations
 
@@ -62,6 +63,37 @@ def trace_flights(x, y, length, direction, L):
     if not shape:
         return float(x_end[0]), float(y_end[0]), int(crossings[0])
     return x_end.reshape(shape), y_end.reshape(shape), crossings.reshape(shape)
+
+
+def advance_np_mod(x, y, length, direction, L):
+    """``advance`` as it was when it took the parity of the full chords m
+    from ``np.mod(m, 2.0) == 0.0``, kept to pin the floor form that
+    replaced it bit for bit.  Takes 1-d arrays of one length; returns
+    (x', y', m), m NaN for a straight move."""
+    t = np.tan(0.5 * direction)
+    t2 = t * t
+    d = 1.0 + t2
+    ux, uy = (1.0 - t2) / d, 2.0 * t / d
+    ex = x + length * ux
+    ey = y + length * uy
+    chords = np.full(x.size, np.nan)
+    out = np.flatnonzero(ex * ex + ey * ey >= L * L)
+    if out.size:
+        x, y, length, ux, uy = x[out], y[out], length[out], ux[out], uy[out]
+        t0 = x * ux + y * uy
+        w = x * uy - y * ux
+        l1 = np.sqrt(np.maximum(L * L - w * w, 0.0))
+        l4 = length - (l1 - t0)
+        period = 2.0 * l1
+        safe = np.where(period > 0.0, period, 1.0)
+        m = np.floor(l4 / safe)
+        l5 = np.minimum(np.maximum(l4 - m * safe, 0.0), safe)
+        flip = np.where(np.mod(m, 2.0) == 0.0, -w, w)
+        degenerate = period <= 0.0
+        ex[out] = np.where(degenerate, x, flip * uy + (l5 - l1) * ux)
+        ey[out] = np.where(degenerate, y, (l5 - l1) * uy - flip * ux)
+        chords[out] = m
+    return ex, ey, chords
 
 
 def live_steps(rng, plan, cfg):

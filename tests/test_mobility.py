@@ -5,8 +5,9 @@ import pytest
 from scipy import stats
 
 from hetnet_uplink import NetworkConfig, advance, sample_direction, sample_flight_length
+from hetnet_uplink.mobility import FAR
 
-from oracles import _exit_chord, trace_flights, uniformity_p_value
+from oracles import _exit_chord, advance_np_mod, trace_flights, uniformity_p_value
 
 L = 500.0
 EPS = np.finfo(float).eps
@@ -53,6 +54,18 @@ def test_direction_endpoints():
     assert sample_direction(0.5) == pytest.approx(math.pi)
     with pytest.raises(ValueError):
         sample_direction(1.0)
+
+
+def test_nan_fails_every_mobility_check():
+    for bad in (np.nan, np.array([0.5, np.nan])):
+        with pytest.raises(ValueError):
+            sample_flight_length(bad, 0.6, 1.0)
+        with pytest.raises(ValueError):
+            sample_direction(bad)
+        with pytest.raises(ValueError):
+            advance(bad, 0.0, 1.0, 0.3, L)
+        with pytest.raises(ValueError):
+            advance(0.0, bad, 1.0, 0.3, L)
 
 
 def test_direction_uniform_over_sectors():
@@ -123,6 +136,58 @@ def test_advance_agrees_with_trace_oracle():
     x_end, y_end = advance(x, y, length, direction, L)
     xo, yo, _ = trace_flights(x, y, length, direction, L)
     assert np.max(np.hypot(x_end - xo, y_end - yo)) <= 1e-9
+
+
+def test_parity_matches_the_np_mod_form_bit_for_bit():
+    # 10**5 random flights, then crafted ones.  From (0, 3/5 L2) heading 0
+    # the chord has half length l1 = 4/5 L2 = 2**9 and the float arithmetic
+    # is exact, so m = floor((length - 2**9) / 2**10): 2**62 gives the odd
+    # 2**52 - 1, 2**64 gives 2**54.  Flights a few ulps short of or past
+    # the edge give m = -1 where rounding puts a straight end on the edge
+    rng = np.random.default_rng(46)
+    flights = [(*_random_inputs(rng, 100_000, max_len=50 * L), L)]
+    L2 = 640.0
+    lengths = np.array([612.0, 1636.0, 2660.0, 2.0**62, 2.0**64])
+    flights.append((np.zeros(5), np.full(5, 384.0), lengths, np.zeros(5), L2))
+    rho = L2 * np.sqrt(rng.random(1000))
+    theta, heading = 2 * np.pi * rng.random((2, 1000))
+    x, y = rho * np.cos(theta), rho * np.sin(theta)
+    b = x * np.cos(heading) + y * np.sin(heading)
+    edge = np.sqrt(b * b + L2 * L2 - rho * rho) - b       # distance to the edge
+    ulps = np.arange(-4, 5)
+    flights.append(tuple(np.repeat(a, ulps.size) for a in (x, y))
+                   + (np.ravel(edge[:, None] + ulps * np.spacing(edge)[:, None]),
+                      np.repeat(heading, ulps.size), L2))
+    chords = []
+    for x, y, length, heading, radius in flights:
+        xo, yo, m = advance_np_mod(x, y, length, heading, radius)
+        xa, ya = advance(x, y, length, heading, radius)
+        assert np.array_equal(xa, xo) and np.array_equal(ya, yo)
+        chords.append(m)
+    m = np.concatenate(chords)
+    assert {-1.0, 0.0, 1.0, 2.0, 2.0**52 - 1, 2.0**54} <= set(m[~np.isnan(m)])
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.6])
+@pytest.mark.parametrize("delta", [30.0, 1e140])
+def test_largest_drawable_flight_ends_in_the_disk(alpha, delta):
+    # 1 - rng.random() is at least 2**-53.  At alpha 0.05 that flight is
+    # past the largest float (inf); at delta 1e140, alpha 0.6 it is
+    # 3.9e166, whose straight end squares past it.  pytest turns a
+    # RuntimeWarning into an error
+    length = sample_flight_length(2.0**-53, alpha, delta)
+    rng = np.random.default_rng(47)
+    x, y, _, heading = _random_inputs(rng, 1000)
+    heading[:4] = sample_direction(np.array([0.0, 0.25, 0.5, 0.75]))
+    assert _inside(*advance(x, y, length, heading, L), L)     # NaN fails too
+
+
+def test_flights_past_far_end_as_one_of_length_far():
+    rng = np.random.default_rng(48)
+    x, y, _, heading = _random_inputs(rng, 1000)
+    far = advance(x, y, FAR, heading, L)
+    for length in (np.nextafter(FAR, np.inf), 1e300, np.inf):
+        assert all(np.array_equal(a, b) for a, b in zip(advance(x, y, length, heading, L), far))
 
 
 def test_boundary_conservation_randomized():
