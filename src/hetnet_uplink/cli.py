@@ -2,8 +2,13 @@
 
 Each run evaluates one scenario over a sweep grid with the analytic
 engine, the Monte Carlo engine, or both, and writes one delimited table
-(or JSON-lines records) plus a machine-readable ``summary.json`` with the
-outcome of every cross-check performed on the rows.
+(or JSON-lines records) plus a ``summary.json`` with every cross-check.
+Every table has one layout: key columns, every ``<name>_analytic``, every
+``<name>_mc``/``<name>_se`` pair, then ``<name>_gap`` for each checked
+name, whose checks ``summary.json`` lists in row and column order (a
+crossing row: p_in, then p_out).  The interference table checks the
+means and also reports the MC variances ``csg_var_mc``/``osg_var_mc``
+with their SEs; it ends with the ``resampled`` count of each row.
 
 Figure aliases bundle a scenario with a documented parameter grid:
 
@@ -158,33 +163,39 @@ def _within_t(checks, name, analytic, value, se, replications, floor=0.0):
     return gap
 
 
+def _columns(row, checks, replications, quantities):
+    """``row`` with the value columns of the one table layout appended.
+
+    Each quantity is (name, analytic value, (MC value, SE), check name or
+    None, SE floor), None where an engine is off; a check name adds the
+    ``<name>_gap`` column, checked by ``_within_t`` with that floor.
+    """
+    for name, analytic, _, _, _ in quantities:
+        row[f"{name}_analytic"] = analytic
+    for name, _, (value, se), _, _ in quantities:
+        row[f"{name}_mc"], row[f"{name}_se"] = value, se
+    for name, analytic, (value, se), check, floor in quantities:
+        if check is not None:
+            row[f"{name}_gap"] = _within_t(checks, check, analytic, value, se, replications,
+                                           floor)
+    return row
+
+
 def _crossing_rows(scenario, manifest, cfg, ch, analytic, plan):
     rows, checks = [], []
     for delta in manifest.sweep[1]:
         c = replace(cfg, delta=float(delta))
         cp = crossing_probabilities(c) if analytic else None
         est = run_crossing(plan, c) if plan else None
-        in_mc, in_se = _mc(est and est.p_in)
-        out_mc, out_se = _mc(est and est.p_out)
-        gaps = {}
-        for name, a, value, se in (("p_out", cp and cp.p_out, out_mc, out_se),
-                                   ("p_in", cp and cp.p_in, in_mc, in_se)):
+        quantities = []
+        for name in ("p_in", "p_out"):
+            a = cp and getattr(cp, name)
             # the SE floored at the binomial SE of the analytic value over the
             # flights run: replications whose flights all ended alike report SE 0
             floor = math.sqrt(a * (1.0 - a) / est.p_in.sample_count) if cp and est else 0.0
-            gaps[name] = _within_t(checks, f"crossing:{name}@delta={delta}", a, value, se,
-                                   manifest.replications, floor)
-        rows.append({
-            "delta": delta,
-            "p_in_analytic": cp and cp.p_in,
-            "p_out_analytic": cp and cp.p_out,
-            "p_in_mc": in_mc,
-            "p_in_se": in_se,
-            "p_out_mc": out_mc,
-            "p_out_se": out_se,
-            "p_in_gap": gaps["p_in"],
-            "p_out_gap": gaps["p_out"],
-        })
+            quantities.append((name, a, _mc(est and getattr(est, name)),
+                               f"crossing:{name}@delta={delta}", floor))
+        rows.append(_columns({"delta": delta}, checks, manifest.replications, quantities))
     return rows, checks
 
 
@@ -211,149 +222,88 @@ def _occupancy_rows(scenario, manifest, cfg, ch, analytic, plan):
 
         for delta in manifest.sweep[1]:
             c = replace(cfg, delta=float(delta))
-            mean_a = var_a = None
-            if analytic:
-                mom = occupancy_moments(c.N, c.R**2 / c.L**2)
-                mean_a, var_a = mom.mean, mom.variance
+            mom = occupancy_moments(c.N, c.R**2 / c.L**2) if analytic else None
             est = run_occupancy(plan, c, trace_hook=hook) if plan else None
-            mean_mc, mean_se = _mc(est and est.mean)
-            var_mc, var_se = _mc(est and est.variance)
-            rows.append({
-                "delta": delta,
-                "mean_analytic": mean_a,
-                "var_analytic": var_a,
-                "mean_mc": mean_mc,
-                "mean_se": mean_se,
-                "var_mc": var_mc,
-                "var_se": var_se,
-                "mean_gap": _within_t(checks, f"occupancy:mean@delta={delta}",
-                                      mean_a, mean_mc, mean_se, manifest.replications),
-            })
+            rows.append(_columns({"delta": delta}, checks, manifest.replications, [
+                ("mean", mom and mom.mean, _mc(est and est.mean),
+                 f"occupancy:mean@delta={delta}", 0.0),
+                ("var", mom and mom.variance, _mc(est and est.variance), None, 0.0),
+            ]))
     return rows, checks
 
 
 def _interference_rows(scenario, manifest, cfg, ch, analytic, plan):
     rows, checks = [], []
-    cells = {"csg": CellType.CSG, "osg": CellType.OSG}
     for delta in manifest.sweep[1]:
         c = replace(cfg, delta=float(delta))
-        moments = {
-            key: total_moments(replace(c, cell_type=cell), ch) if analytic else (None, None)
-            for key, cell in cells.items()
-        }
         est = run_interference(plan, c, ch, mode=manifest.mode) if plan else None
-        row = {"delta": delta, "mode": manifest.mode if est else ""}
-        for key, (mean, var) in moments.items():
-            row[f"{key}_mean_analytic"], row[f"{key}_var_analytic"] = mean, var
-        for key, mean in (("csg", est and est.csg_mean), ("osg", est and est.osg_mean)):
-            value, se = _mc(mean)
-            row[f"{key}_mean_mc"], row[f"{key}_mean_se"] = value, se
-            _within_t(checks, f"interference:{key}_mean@delta={delta},{manifest.mode}",
-                      moments[key][0], value, se, manifest.replications)
-        row["resampled"] = est.resampled if est else None
-        rows.append(row)
+        quantities = []
+        for key, cell in (("csg", CellType.CSG), ("osg", CellType.OSG)):
+            mean, var = total_moments(replace(c, cell_type=cell), ch) if analytic else (None, None)
+            quantities += [
+                (f"{key}_mean", mean, _mc(est and getattr(est, f"{key}_mean")),
+                 f"interference:{key}_mean@delta={delta},{manifest.mode}", 0.0),
+                (f"{key}_var", var, _mc(est and getattr(est, f"{key}_variance")), None, 0.0),
+            ]
+        row = _columns({"delta": delta, "mode": manifest.mode if est else ""}, checks,
+                       manifest.replications, quantities)
+        rows.append({**row, "resampled": est.resampled if est else None})
     return rows, checks
 
 
-def _sinr_metrics(manifest, ch, analytic, plan):
-    """Evaluator of the SINR metrics over configs and (kappa, cell type) points.
+def _sinr_rows(scenario, manifest, cfg, ch, analytic, plan):
+    """Success, rate, or both (``density_sweep``) of a home user, one row
+    per grid point and cell type, rates in ``--rate-units``.
 
-    ``metrics(configs, points, names)`` gives, for each config in
-    ``configs`` (one, or a user-count grid: configs that differ only in N)
-    and each (kappa, cell type) in ``points``, a map from each name in
-    ``names`` ("success", "rate") to (analytic value, MC value, MC SE) for a
-    home user at that kappa in a cell of that type; None where an engine is
-    off, rates in ``--rate-units``.  All configs and points of one call are
-    scored by one ``run_sinr`` call on one set of snapshots (common random
-    numbers): a kappa sweep, or both cell types over a whole user-count
-    grid, samples the interference once, and a live one steps the
-    population once.  The analytic engine and stationary Monte Carlo weigh
-    the interferer count by R_I**2/L**2, so no crossing point is computed.
+    Each group of (configs, queries) is scored by one ``run_sinr`` call on
+    one set of snapshots (common random numbers): a kappa grid is one
+    group, a user-count grid one over both cell types, a delta grid one
+    per delta.  No crossing point is computed: both engines weigh the
+    interferer count by R_I**2/L**2, and live Monte Carlo reads no weight.
     """
+    axis, grid = manifest.sweep
     threshold = db_to_linear(manifest.threshold_db)
     scale = {"success": 1.0, "rate": 1.0 if manifest.rate_units == "nats" else 1.0 / LN2}
 
-    def metrics(configs, points, names):
-        queries = [PerformanceQuery(kappa=k, threshold=threshold, cell_type=cell)
-                   for k, cell in points]
+    def query(kappa, cell):
+        return PerformanceQuery(kappa=kappa, threshold=threshold, cell_type=cell)
 
-        def analytic_values(c, query):
-            if not analytic:
-                return {}
-            if names == ("success",):
-                return {"success": success_probability(query, c, ch)}
-            res = evaluate(query, c, ch)
-            return {"success": res.success_probability, "rate": scale["rate"] * res.average_rate}
-
-        values = [[analytic_values(c, query) for query in queries] for c in configs]
-        estimates = [[(None, None)] * len(queries)] * len(configs)
-        if plan:
-            estimates = run_sinr(plan, configs, ch, queries, mode=manifest.mode)
-        return [
-            [{name: (v.get(name), *_mc(e, scale[name]))
-              for name, e in zip(("success", "rate"), est) if name in names}
-             for v, est in zip(row_values, row_estimates)]
-            for row_values, row_estimates in zip(values, estimates)
-        ]
-
-    return metrics
-
-
-def _metric_rows(scenario, manifest, cfg, ch, analytic, plan):
-    """Success or rate over a kappa or delta grid; a kappa grid is
-    evaluated in one ``metrics`` call."""
-    axis, grid = manifest.sweep
-    metrics = _sinr_metrics(manifest, ch, analytic, plan)
-    cell = cfg.cell_type
-    if axis == "delta":
-        results = [metrics([replace(cfg, delta=float(v))], [(manifest.kappa, cell)],
-                           (scenario,))[0][0]
-                   for v in grid]
+    # the key columns and the check name template of every row, in row order
+    if scenario == "density_sweep":
+        names, cells = ("success", "rate"), (CellType.CSG, CellType.OSG)
+        keys = [({"n_users": int(n), "cell_type": cell.value},
+                 f"density:{{}}:{cell.value}@n={int(n)}") for n in grid for cell in cells]
+        groups = [([replace(cfg, N=int(n)) for n in grid],
+                   [query(manifest.kappa, cell) for cell in cells])]
     else:
-        results = metrics([cfg], [(float(v), cell) for v in grid], (scenario,))[0]
-    rows, checks = [], []
-    for value, m in zip(grid, results):
-        a, mc, se = m[scenario]
-        rows.append({
-            axis: value,
-            "cell_type": cell.value,
-            f"{scenario}_analytic": a,
-            f"{scenario}_mc": mc,
-            f"{scenario}_se": se,
-            f"{scenario}_gap": _within_t(checks, f"{scenario}@{axis}={value}", a, mc, se,
-                                        manifest.replications),
-        })
-    return rows, checks
+        names, cell = (scenario,), cfg.cell_type
+        keys = [({axis: v, "cell_type": cell.value}, f"{{}}@{axis}={v}") for v in grid]
+        groups = ([([replace(cfg, delta=float(v))], [query(manifest.kappa, cell)]) for v in grid]
+                  if axis == "delta" else [([cfg], [query(float(v), cell) for v in grid])])
+    points = []
+    for configs, queries in groups:
+        estimates = (run_sinr(plan, configs, ch, queries, mode=manifest.mode) if plan
+                     else [[(None, None)] * len(queries)] * len(configs))
+        points += [(c, q, dict(zip(("success", "rate"), e)))
+                   for c, row in zip(configs, estimates) for q, e in zip(queries, row)]
 
-
-def _density_rows(scenario, manifest, cfg, ch, analytic, plan):
-    """Success and rate over user counts, for both cell types, in one
-    ``metrics`` call, each row checked against Monte Carlo as in
-    ``_metric_rows``: the Monte Carlo N-user snapshots are prefixes of the
-    largest population, so the MC rows fall with N sample by sample."""
-    metrics = _sinr_metrics(manifest, ch, analytic, plan)
     rows, checks = [], []
-    series: dict = {}
-    cells = (CellType.CSG, CellType.OSG)
-    counts = [int(n) for n in manifest.sweep[1]]
-    results = metrics([replace(cfg, N=n) for n in counts],
-                      [(manifest.kappa, cell) for cell in cells], ("success", "rate"))
-    for n, both in zip(counts, results):
-        for cell, m in zip(cells, both):
-            row = {"n_users": n, "cell_type": cell.value}
-            row.update({f"{name}_analytic": a for name, (a, _, _) in m.items()})
-            for name, (a, value, se) in m.items():
-                row[f"{name}_mc"], row[f"{name}_se"] = value, se
-                if a is not None:
-                    series.setdefault((name, cell), []).append(a)
-            for name, (a, value, se) in m.items():
-                row[f"{name}_gap"] = _within_t(checks, f"density:{name}:{cell.value}@n={n}",
-                                               a, value, se, manifest.replications)
-            rows.append(row)
-    for (metric, cell), values in series.items():
-        monotone = all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-        checks.append(Check(f"density:{metric}:{cell.value}:nonincreasing", monotone,
-                            ",".join(f"{v:.4g}" for v in values)))
+    for (key, check), (c, q, est) in zip(keys, points):
+        values = {}
+        if analytic and names == ("success",):
+            values = {"success": success_probability(q, c, ch)}
+        elif analytic:
+            res = evaluate(q, c, ch)
+            values = {"success": res.success_probability, "rate": scale["rate"] * res.average_rate}
+        rows.append(_columns(dict(key), checks, manifest.replications, [
+            (name, values.get(name), _mc(est[name], scale[name]), check.format(name), 0.0)
+            for name in names]))
+    for cell in cells if scenario == "density_sweep" and analytic else ():
+        for name in names:
+            values = [row[f"{name}_analytic"] for row in rows if row["cell_type"] == cell.value]
+            monotone = all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+            checks.append(Check(f"density:{name}:{cell.value}:nonincreasing", monotone,
+                                ",".join(f"{v:.4g}" for v in values)))
     return rows, checks
 
 
@@ -362,9 +312,9 @@ SCENARIOS = {
     "crossing": ("delta", DELTA_GRID_SMALL, _crossing_rows),
     "occupancy": ("delta", DELTA_GRID_WIDE, _occupancy_rows),
     "interference": ("delta", DELTA_GRID_WIDE, _interference_rows),
-    "success": ("kappa", KAPPA_GRID, _metric_rows),
-    "rate": ("kappa", KAPPA_GRID, _metric_rows),
-    "density_sweep": ("n", N_GRID, _density_rows),
+    "success": ("kappa", KAPPA_GRID, _sinr_rows),
+    "rate": ("kappa", KAPPA_GRID, _sinr_rows),
+    "density_sweep": ("n", N_GRID, _sinr_rows),
 }
 
 VALID_SCENARIOS = tuple(SCENARIOS) + tuple(FIGURE_ALIASES)

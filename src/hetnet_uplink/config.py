@@ -67,16 +67,15 @@ class NetworkConfig:
 class ChannelConfig:
     """Transmit power and channel constants.
 
-    Defaults are Rayleigh fading (P_gamma2 = 2 * P_gamma**2); arbitrary
-    first/second gain moments are accepted so the moment formulas stay
-    general, but MGF closed forms assume Rayleigh.
+    Fading is Rayleigh: the power gain is exponential with mean P_gamma, as
+    the MGF closed forms and the Monte Carlo draws assume, so its second
+    moment is derived from P_gamma, never stored independently.
     """
 
     P_t_m: float = 0.1                      # macro-user transmit power [W]
     P_t_h: float = dbm_to_watts(-3.0)       # home-user transmit power [W]
     beta: float = 2.0                       # pathloss exponent
     P_gamma: float = 1.0                    # E[gain]
-    P_gamma2: float = 2.0                   # E[gain**2]
     W: float = 5e6                          # bandwidth [Hz]
     N0: float = 3.98107e-18                 # noise spectral density [W/Hz]
 
@@ -84,6 +83,11 @@ class ChannelConfig:
     def noise_power(self) -> float:
         """Noise power W*N0 [W]; derived, never stored independently."""
         return self.W * self.N0
+
+    @property
+    def P_gamma2(self) -> float:
+        """E[gain**2] = 2 * P_gamma**2 of the exponential power gain."""
+        return 2.0 * self.P_gamma**2
 
 
 def validate(cfg: NetworkConfig, ch: ChannelConfig | None = None):
@@ -111,11 +115,6 @@ def validate(cfg: NetworkConfig, ch: ChannelConfig | None = None):
             bad.append(f"beta >= 2 required, got beta={ch.beta}")
         if not ch.P_gamma > 0:
             bad.append(f"P_gamma must be positive, got {ch.P_gamma}")
-        if ch.P_gamma2 < ch.P_gamma ** 2:
-            bad.append(
-                "P_gamma2 >= P_gamma**2 required (Jensen), got "
-                f"P_gamma2={ch.P_gamma2}, P_gamma**2={ch.P_gamma ** 2}"
-            )
         for name in ("P_t_m", "P_t_h", "W", "N0"):
             if not getattr(ch, name) > 0:
                 bad.append(f"{name} must be positive, got {getattr(ch, name)}")
@@ -136,7 +135,7 @@ def validate(cfg: NetworkConfig, ch: ChannelConfig | None = None):
 
 
 _NETWORK_KEYS = {"L", "R", "R_I", "N", "alpha", "delta", "cell_type"}
-_CHANNEL_KEYS = {"P_t_m", "P_t_h", "beta", "P_gamma", "P_gamma2", "W", "N0"}
+_CHANNEL_KEYS = {"P_t_m", "P_t_h", "beta", "P_gamma", "W", "N0"}
 _DBM_KEYS = {"P_t_m_dbm": "P_t_m", "P_t_h_dbm": "P_t_h"}
 
 

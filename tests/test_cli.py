@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -427,3 +428,67 @@ def test_one_replication_writes_rows_and_adds_no_gap_check(tmp_path, config_file
     assert rows and all(r[k] != "" for r in rows for k in r if k.endswith("_mc"))
     checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
     assert all("nonincreasing" in c["name"] for c in checks)
+
+
+def _column_kind(column):
+    """0 for a key column, then 1 analytic, 2 MC value or SE, 3 gap."""
+    for kind, suffixes in enumerate((("_analytic",), ("_mc", "_se"), ("_gap",)), start=1):
+        if column.endswith(suffixes):
+            return kind
+    return 0
+
+
+@pytest.mark.parametrize("scenario", ["crossing", "occupancy", "interference", "success",
+                                      "rate", "density_sweep"])
+def test_every_table_has_the_one_layout(tmp_path, config_file, scenario):
+    # key columns, every _analytic, every _mc/_se pair, every checked _gap
+    # (the interference table ends with its resampled count), and one
+    # check per gap cell, row by row in column order
+    status = main(["--scenario", scenario, "--config", str(config_file), "--engine", "both",
+                   "--replications", "2", "--steps", "20", "--format", "records",
+                   "--out", str(tmp_path)])
+    assert status == 0
+    rows = [json.loads(line) for line in
+            (tmp_path / f"{scenario}.jsonl").read_text().splitlines()]
+    header = list(rows[0])
+    if "resampled" in header:
+        assert header[-1] == "resampled" and scenario == "interference"
+        header = header[:-1]
+    kinds = [_column_kind(c) for c in header]
+    assert kinds == sorted(kinds) and kinds[0] == 0 and kinds[-1] == 3
+    names = [c[:-len("_analytic")] for c in header if c.endswith("_analytic")]
+    assert header[kinds.index(2):kinds.index(3)] == [
+        f"{name}_{kind}" for name in names for kind in ("mc", "se")]
+    gaps = [c for c in header if c.endswith("_gap")]
+    assert all(g[:-len("_gap")] in names for g in gaps)
+    checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    gap_checks = [c for c in checks if not c["name"].endswith(":nonincreasing")]
+    cells = [(row, g) for row in rows for g in gaps]
+    assert len(gap_checks) == len(cells)
+    for check, (row, g) in zip(gap_checks, cells):
+        assert re.search(rf"(^|:){g[:-len('_gap')]}[@:]", check["name"])
+        assert check["detail"].startswith(f"gap={row[g]:.3g} ")
+
+
+@pytest.mark.parametrize("mode", ["stationary", "live"])
+def test_interference_variance_columns_are_the_monte_carlo_variances(tmp_path, config_file,
+                                                                     mode):
+    from dataclasses import replace
+
+    from hetnet_uplink import ExperimentPlan, load_config, run_interference
+
+    status = main(["--scenario", "interference", "--config", str(config_file),
+                   "--engine", "mc", "--mode", mode, "--sweep", "delta=30",
+                   "--replications", "2", "--steps", "40", "--seed", "3",
+                   "--format", "records", "--out", str(tmp_path)])
+    assert status == 0
+    row = json.loads((tmp_path / "interference.jsonl").read_text())
+    cfg, ch = load_config(config_file)
+    plan = ExperimentPlan("crossing", replications=2, steps_per_replication=40,
+                          warmup_steps=0, seed=3)
+    run = run_interference(plan, replace(cfg, delta=30.0), ch, mode=mode)
+    for key in ("csg", "osg"):
+        variance = getattr(run, f"{key}_variance")
+        assert (row[f"{key}_var_mc"], row[f"{key}_var_se"]) == (variance.value,
+                                                              variance.std_error)
+        assert row[f"{key}_var_analytic"] is None and row[f"{key}_mean_gap"] is None

@@ -6,10 +6,19 @@ every table file and ``summary.json``, with the temporary directory
 written as ``{tmp}``.  Summaries are compared without ``elapsed_seconds``
 (a timing); the ``--trace`` file is compared by its SHA-256.
 Every re-recording, and why its values moved, is logged in ``CHANGES.md``.
+
+Re-record named cases, and only those, with
+
+    PYTHONPATH=src python tests/test_cli_frozen.py --record NAME...
 """
+import argparse
 import hashlib
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -103,3 +112,65 @@ def test_cli_outputs_frozen(name, tmp_path, capsys):
     assert ("summary" in got) == ("summary" in want)
     if "summary" in want:
         assert _normalize_summary(got["summary"]) == _normalize_summary(want["summary"])
+
+
+class _Capture:
+    """``capsys`` outside pytest: ``readouterr`` returns, and forgets, what
+    was written to ``out`` and ``err`` since the last read."""
+
+    def __init__(self):
+        self.out, self.err = io.StringIO(), io.StringIO()
+
+    def readouterr(self):
+        got = SimpleNamespace(out=self.out.getvalue(), err=self.err.getvalue())
+        for stream in (self.out, self.err):
+            stream.seek(0)
+            stream.truncate()
+        return got
+
+
+def record(names, expected=EXPECTED):
+    """Rewrite the named cases of ``expected`` from fresh runs, leaving every
+    other case as it is; an unknown name or no name at all is an error."""
+    unknown = sorted(set(names) - set(CASES))
+    if not names or unknown:
+        raise ValueError(f"name one or more cases of {sorted(CASES)}; unknown: {unknown}")
+    frozen = json.loads(expected.read_text())
+    capture = _Capture()
+    with tempfile.TemporaryDirectory() as tmp, \
+            redirect_stdout(capture.out), redirect_stderr(capture.err):
+        for name in names:
+            frozen[name] = observe(name, Path(tmp), capture)
+    expected.write_text(json.dumps(frozen, indent=1, sort_keys=True) + "\n")
+
+
+def test_record_refuses_unknown_names_and_an_empty_list(tmp_path):
+    copy = tmp_path / "frozen.json"
+    copy.write_text(EXPECTED.read_text())
+    for names in ([], ["figure99"], ["figure7", "figure99"]):
+        with pytest.raises(ValueError):
+            record(names, copy)
+    assert copy.read_text() == EXPECTED.read_text()
+
+
+def test_record_rewrites_only_the_named_cases(tmp_path):
+    copy = tmp_path / "frozen.json"
+    copy.write_text(EXPECTED.read_text())
+    record(["unknown-scenario"], copy)      # unchanged code: the same bytes
+    assert copy.read_text() == EXPECTED.read_text()
+    stale = json.loads(EXPECTED.read_text())
+    for name in ("unknown-scenario", "sweep-mismatch"):
+        stale[name]["stderr"] = "stale"
+    copy.write_text(json.dumps(stale))
+    record(["unknown-scenario"], copy)
+    got, want = json.loads(copy.read_text()), json.loads(EXPECTED.read_text())
+    assert got["unknown-scenario"] == want["unknown-scenario"]
+    assert got["sweep-mismatch"]["stderr"] == "stale"
+    assert {k: v for k, v in got.items() if k != "sweep-mismatch"} == \
+        {k: v for k, v in want.items() if k != "sweep-mismatch"}
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Re-record frozen CLI cases by name.")
+    parser.add_argument("--record", nargs="+", metavar="NAME", required=True)
+    record(parser.parse_args().record)

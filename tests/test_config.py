@@ -54,9 +54,9 @@ def test_validate_names_each_violation():
 
     # several violations at once: all must be named
     with pytest.raises(ConfigError) as err:
-        validate(NetworkConfig(R=0.5, delta=-1.0, N=-3), ChannelConfig(P_gamma2=0.5))
+        validate(NetworkConfig(R=0.5, delta=-1.0, N=-3), ChannelConfig(P_gamma=0.0))
     text = " ".join(err.value.violations)
-    for token in ("R ", "delta", "N ", "P_gamma2"):
+    for token in ("R ", "delta", "N ", "P_gamma"):
         assert token in text
 
 
@@ -90,8 +90,9 @@ def test_alpha_outside_empirical_range_warns():
 
 
 def test_rayleigh_default_second_moment():
-    ch = ChannelConfig()
-    assert ch.P_gamma2 == pytest.approx(2.0 * ch.P_gamma**2)
+    # the second moment of the exponential gain is derived, never configured
+    assert ChannelConfig().P_gamma2 == 2.0
+    assert ChannelConfig(P_gamma=1.5).P_gamma2 == 4.5
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -110,7 +111,6 @@ def test_load_config_roundtrip(tmp_path):
         P_t_h_dbm = -3
         beta = 2
         P_gamma = 1.0
-        P_gamma2 = 2.0
         W = 5e6
         N0 = 3.98107e-18
         """
@@ -125,6 +125,15 @@ def test_load_config_roundtrip(tmp_path):
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     for line in ("shadowing = 8\n", "T_s = 1.0\n"):      # T_s: a flight period no model reads
+        path.write_text(line)
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)
+
+
+def test_load_config_rejects_the_derived_second_moment(tmp_path):
+    # P_gamma2 = 2 P_gamma**2 follows from Rayleigh fading; it is no option
+    path = tmp_path / "bad.cfg"
+    for line in ("P_gamma2 = 2.0\n", "P_gamma2 = 0.5\n"):
         path.write_text(line)
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(path)

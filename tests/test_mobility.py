@@ -68,6 +68,22 @@ def test_nan_fails_every_mobility_check():
             advance(0.0, bad, 1.0, 0.3, L)
 
 
+@pytest.mark.parametrize("length, heading", [
+    (np.nan, 0.3), (10.0, np.nan), (-10.0, 0.0), (10.0, np.inf), (10.0, -np.inf),
+    (np.array([1.0, -1e-300]), 0.3), (1.0, np.array([0.3, np.inf])),
+], ids=["nan-length", "nan-heading", "backwards", "inf-heading", "-inf-heading",
+        "negative-in-array", "inf-in-array"])
+def test_advance_rejects_flights_it_cannot_fly(length, heading):
+    with pytest.raises(ValueError):
+        advance(0.0, 0.0, length, heading, L)
+
+
+def test_advance_flies_any_finite_heading_and_zero_length():
+    assert advance(0.0, 0.0, 10.0, -7.0, L) == pytest.approx(
+        (10.0 * math.cos(-7.0), 10.0 * math.sin(-7.0)), abs=1e-12)
+    assert advance(0.1 * L, -0.2 * L, 0.0, 1.0, L) == (0.1 * L, -0.2 * L)
+
+
 def test_direction_uniform_over_sectors():
     rng = np.random.default_rng(101)
     dirs = sample_direction(rng.random(10**6))
