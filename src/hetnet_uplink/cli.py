@@ -123,8 +123,6 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
         return format(x, ".10g")
     return str(x)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -134,8 +134,8 @@ def validate(cfg: NetworkConfig, ch: ChannelConfig | None = None):
     return (cfg, ch) if ch is not None else cfg
 
 
-_NETWORK_KEYS = {"L", "R", "R_I", "N", "alpha", "delta", "cell_type"}
-_CHANNEL_KEYS = {"P_t_m", "P_t_h", "beta", "P_gamma", "W", "N0"}
+_NETWORK_KEYS = {f.name for f in fields(NetworkConfig)}
+_CHANNEL_KEYS = {f.name for f in fields(ChannelConfig)}
 _DBM_KEYS = {"P_t_m_dbm": "P_t_m", "P_t_h_dbm": "P_t_h"}
 
 

@@ -28,13 +28,11 @@ same panels) and the Euler-Maclaurin remainder.
 The uniform law on the macro disk is stationary under these flights, so
 the flows across the cell boundary balance: with eta = r_disk**2 / L**2,
 eta * p_out = (1 - eta) * p_in, and p_in needs no integral of its own.
-Results are memoized per (alpha, delta, L, radius) within a process.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -130,15 +128,13 @@ def _reentry_series(c, period, alpha: float, delta: float):
 
 
 def _kernel(phi, alpha: float, delta: float, L: float, r: float):
-    """Direct and re-entry integrands at phi, w = r sin(phi), times the
-    Jacobian r cos(phi), and the error bounds of each."""
+    """Direct and re-entry integrands at phi, w = r sin(phi), and the error
+    bound of the re-entry series, all times the Jacobian r cos(phi)."""
     w = r * np.sin(phi)
     c = 2.0 * r * np.cos(phi)
     reentry, bound = _reentry_series(c, 2.0 * np.sqrt(L * L - w * w), alpha, delta)
     direct = _survival_integral(c, 0.0, alpha, delta)
-    jacobian = r * np.cos(phi)
-    return (np.stack([direct, reentry]) * jacobian,
-            np.stack([0.0 * bound, bound]) * jacobian)
+    return np.stack([direct, reentry, bound]) * (r * np.cos(phi))
 
 
 def _kinks(delta: float, L: float, r: float):
@@ -165,34 +161,32 @@ def _kinks(delta: float, L: float, r: float):
 
 def _gauss_legendre(kernel, edges):
     """Integral over the panels between consecutive ``edges`` of a
-    vectorized kernel returning (values, error bounds) at given points, on
-    the fixed Gauss-Legendre rule; leading axes of the values stay, and the
-    values are weighted in place.
+    vectorized kernel returning its values at given points, on the fixed
+    Gauss-Legendre rule; leading axes of the values stay, and the values
+    are weighted in place.
 
-    Returns the integral and its error: the full rule against its half
-    rule, plus the integrated error bounds of the kernel.
+    Returns the integral and its rule error, |full rule - half rule|.
     """
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     t = edges[:-1, None] + half * (1.0 + _NODES)
-    w = half * _WEIGHTS
-    values, bounds = kernel(t)
-    weighted = np.multiply(values, w, out=values)
+    weighted = kernel(t)
+    weighted *= half * _WEIGHTS
     full = weighted[..., :INNER_NODES].sum(axis=(-2, -1))
-    coarse = weighted[..., INNER_NODES:].sum(axis=(-2, -1))
-    err = abs(full - coarse) + (w * bounds)[..., :INNER_NODES].sum(axis=(-2, -1))
+    err = abs(full - weighted[..., INNER_NODES:].sum(axis=(-2, -1)))
     return (full, err) if full.ndim else (float(full), float(err))
 
 
-@lru_cache(maxsize=None)
 def _outgoing(alpha: float, delta: float, L: float, r: float):
     """(direct, re-entry, error): the direct exit probability, the
     probability that a leaving flight re-enters the macro disk and ends back
-    inside the cell, and the error bound of their difference p_out."""
+    inside the cell, and the error bound of their difference p_out: the
+    rule error of both plus the integrated bound of the re-entry series."""
     edges = [0.0, *_kinks(delta, L, r), 0.5 * math.pi]
     parts, err = _gauss_legendre(lambda phi: _kernel(phi, alpha, delta, L, r), edges)
     norm = 2.0 / (math.pi * r * r)
-    return float(norm * parts[0]), float(norm * parts[1]), float(norm * err.sum())
+    return (float(norm * parts[0]), float(norm * parts[1]),
+            float(norm * (err[0] + err[1] + parts[2])))
 
 
 def _radius(cfg, r_disk):

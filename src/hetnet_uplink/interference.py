@@ -14,11 +14,11 @@ eta instead.
 
 MGF evaluation is restricted to s <= 0: all consumers evaluate at
 negative arguments and the MGF need not exist for s > 0.  The MGFs take
-arrays of s; away from the closed forms at beta = 2 and 4 they run on the
-fixed Gauss-Legendre rule of ``crossing``, in panels of ln d that narrow
-as 1/beta: the kernel d**2/(d**beta - c) turns over within about 1/beta
-in ln d.  Moments come from closed forms, never from positive-s
-derivatives.
+arrays of s.  Closed forms serve beta exactly 2 or 4; every other beta,
+however near, runs on the fixed Gauss-Legendre rule of ``crossing``, in
+panels of ln d that narrow as 1/beta: the kernel d**2/(d**beta - c) turns
+over within about 1/beta in ln d.  Moments come from closed forms, never
+from positive-s derivatives.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from .crossing import _gauss_legendre
 from .crossing import crossing_probabilities  # noqa: F401  (bench/tracing.py wraps this name)
 from .occupancy import occupancy_pgf
 
-BETA_TOL = 1e-9
 MGF_PANEL = 15.0        # width in beta * ln d of the rule's panels, beta not 2 or 4
 
 
@@ -82,19 +81,16 @@ def interferer_mgf(s, ch: ChannelConfig, lo: float, hi: float):
     _check_support(lo, hi)
     c = ch.P_t_m * ch.P_gamma * s          # c <= 0 on the allowed domain
     area = hi * hi - lo * lo
-    # scalars keep libm's log and atan, which numpy's vector loops can miss by an ulp
-    if abs(ch.beta - 2.0) <= BETA_TOL:
-        log = np.log if c.ndim else math.log
-        g = 1.0 + c / area * log((hi * hi - c) / (lo * lo - c))
-    elif abs(ch.beta - 4.0) <= BETA_TOL:
+    if ch.beta == 2.0:
+        g = 1.0 + c / area * np.log((hi * hi - c) / (lo * lo - c))
+    elif ch.beta == 4.0:
         # real form of the quartic antiderivative for c < 0
-        atan = np.arctan if c.ndim else math.atan
         u = np.sqrt(-c)
-        g = 1.0 - u / area * (atan(u / lo**2) - atan(u / hi**2))
+        g = 1.0 - u / area * (np.arctan(u / lo**2) - np.arctan(u / hi**2))
     else:
         def kernel(v):                     # d**2 / (d**beta - c), in place
             den = np.exp(ch.beta * v) - np.expand_dims(c, (-2, -1))
-            return np.divide(np.exp(2.0 * v), den, out=den), 0.0
+            return np.divide(np.exp(2.0 * v), den, out=den)
 
         v_lo, v_hi = math.log(lo), math.log(hi)
         edges = np.linspace(v_lo, v_hi, math.ceil(ch.beta * (v_hi - v_lo) / MGF_PANEL) + 1)
@@ -141,10 +137,6 @@ def total_moments(
     """Mean [W] and variance [W**2] of the total uplink interference."""
     lo, hi, q = _support(cfg)
     eta = _eta(cfg, p_in, p_out)
-    if cfg.N == 0:
-        return 0.0, 0.0
     first, second = interferer_moments(ch, lo, hi)
     weight = cfg.N * eta * q
-    mean = weight * first
-    variance = weight * second - weight**2 / cfg.N * first**2
-    return mean, variance
+    return weight * first, weight * (second - eta * q * first**2)

@@ -67,7 +67,7 @@ from .crossing import _radius
 from .crossing import crossing_probabilities  # noqa: F401  (bench/tracing.py wraps this name)
 from .interference import _eta, _ring_weight
 from .mobility import advance, sample_direction, sample_flight_length
-from .performance import PerformanceQuery
+from .performance import PerformanceQuery, _serving_distance
 
 SCENARIOS = ("crossing", "occupancy", "interference", "success", "rate", "density_sweep")
 MODES = ("stationary", "live")
@@ -450,7 +450,8 @@ def run_sinr(
     users = sorted({c.N for c in cfgs})
     eta = _eta(largest, p_in, p_out)
     n = plan.steps_per_replication - plan.warmup_steps
-    m0s = [ch.P_t_h * ch.P_gamma / (target.kappa * largest.R) ** ch.beta for target in queries]
+    m0s = [ch.P_t_h * ch.P_gamma / _serving_distance(target, largest) ** ch.beta
+           for target in queries]
 
     scores = [[([], []) for _ in queries] for _ in users]
     rngs = _substreams(plan.seed, plan.replications)

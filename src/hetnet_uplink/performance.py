@@ -54,6 +54,15 @@ def _query_cfg(q: PerformanceQuery, cfg: NetworkConfig) -> NetworkConfig:
     return replace(cfg, cell_type=q.cell_type)
 
 
+def _serving_distance(q: PerformanceQuery, cfg: NetworkConfig) -> float:
+    """kappa * R [m], the home user's distance from its station, which both
+    engines require to lie beyond the 1 m pathloss floor."""
+    if q.kappa * cfg.R <= 1.0:
+        raise ValueError(
+            f"kappa={q.kappa} puts the user inside the 1 m pathloss floor (R={cfg.R})")
+    return q.kappa * cfg.R
+
+
 def success_probability(
     q: PerformanceQuery,
     cfg: NetworkConfig,
@@ -66,12 +75,8 @@ def success_probability(
     Product of the noise-only outage factor and the total-interference
     MGF evaluated at -(kappa*R)**beta * T / (P_t_h * P_gamma).
     """
-    if q.kappa * cfg.R <= 1.0:
-        raise ValueError(
-            f"kappa={q.kappa} puts the user inside the 1 m pathloss floor (R={cfg.R})"
-        )
     cfg = _query_cfg(q, cfg)
-    scale = (q.kappa * cfg.R) ** ch.beta / (ch.P_t_h * ch.P_gamma)
+    scale = _serving_distance(q, cfg) ** ch.beta / (ch.P_t_h * ch.P_gamma)
     s = -scale * q.threshold
     noise_factor = math.exp(-scale * ch.noise_power * q.threshold)
     return noise_factor * total_mgf(s, cfg, ch, p_in, p_out)
@@ -92,7 +97,7 @@ def evaluate(
         return MetricResult(success, 0.0, 0.0)
 
     cfg = _query_cfg(q, cfg)
-    attn = (q.kappa * cfg.R) ** ch.beta
+    attn = _serving_distance(q, cfg) ** ch.beta
     a = ch.P_t_h * ch.P_gamma
     p_n = ch.noise_power
     t_lo = math.log(attn / a) - RATE_SPAN
@@ -103,7 +108,7 @@ def evaluate(
         nonlocal f
         x = np.exp(t)
         f = a * np.exp(-p_n * x) / (attn + a * x) * total_mgf(-x, cfg, ch, p_in, p_out)
-        return x * f, 0.0
+        return x * f
 
     panels = math.ceil((t_hi - t_lo) / RATE_PANEL)
     body, err = _gauss_legendre(kernel, np.linspace(t_lo, t_hi, panels + 1))

@@ -426,8 +426,20 @@ def test_one_replication_writes_rows_and_adds_no_gap_check(tmp_path, config_file
     assert status == 0
     _, rows = _read_table(tmp_path / f"{scenario}.csv")
     assert rows and all(r[k] != "" for r in rows for k in r if k.endswith("_mc"))
+    assert all(r[k] == "nan" for r in rows for k in r if k.endswith("_se"))   # no SE from one
     checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
     assert all("nonincreasing" in c["name"] for c in checks)
+
+
+@pytest.mark.parametrize("engine", ["analytic", "mc", "both"])
+def test_every_engine_refuses_a_user_inside_the_pathloss_floor(tmp_path, config_file, capsys,
+                                                                engine):
+    status = main(["--scenario", "success", "--engine", engine, "--kappa", "0.01",
+                   "--sweep", "delta=30", "--steps", "20", "--replications", "2",
+                   "--config", str(config_file), "--out", str(tmp_path)])
+    assert status == 1
+    assert "kappa=0.01 puts the user inside the 1 m pathloss floor" in capsys.readouterr().err
+    assert not (tmp_path / "success.csv").exists()
 
 
 def _column_kind(column):

@@ -491,6 +491,15 @@ def test_sinr_mixed_cells_equal_single_query_calls(channel, mode):
     assert mixed[0] != mixed[1]
 
 
+@pytest.mark.parametrize("kappa, R", [(0.01, 6.0), (0.5, 2.0)])
+def test_sinr_rejects_users_inside_the_pathloss_floor(channel, kappa, R):
+    # kappa * R <= 1 m, at 0.06 m and at exactly 1 m, as the analytic engine
+    plan = _plan(**FROZEN_PLAN)
+    queries = [PerformanceQuery(kappa=k, threshold=FROZEN_THRESHOLD) for k in (0.9, kappa)]
+    with pytest.raises(ValueError, match="inside the 1 m pathloss floor"):
+        run_sinr(plan, replace(FROZEN_CFG, R=R), channel, queries)
+
+
 def test_sinr_sweep_rejects_empty_sequence(channel):
     plan = _plan(**FROZEN_PLAN)
     for mode in ("stationary", "live"):

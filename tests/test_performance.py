@@ -104,6 +104,7 @@ def test_rate_decreases_with_distance(desk_cfg, channel):
     (4.0, CellType.OSG, 200, 0.1),
     (2.0, CellType.CSG, 2000, 0.9),
     (2.0, CellType.OSG, 2000, 0.3),
+    (2.0 + 5e-10, CellType.CSG, 2000, 0.9),
     (3.0, CellType.CSG, 1000, 0.5),
     (3.0, CellType.OSG, 8000, 1.0),
 ])
