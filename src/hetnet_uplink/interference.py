@@ -15,10 +15,13 @@ eta instead.
 MGF evaluation is restricted to s <= 0: all consumers evaluate at
 negative arguments and the MGF need not exist for s > 0.  The MGFs take
 arrays of s.  Closed forms serve beta exactly 2 or 4; every other beta,
-however near, runs on the fixed Gauss-Legendre rule of ``crossing``, in
+however near, runs on the G32/K65 Gauss-Kronrod rule of ``crossing``, in
 panels of ln d that narrow as 1/beta: the kernel d**2/(d**beta - c) turns
-over within about 1/beta in ln d.  Moments come from closed forms, never
-from positive-s derivatives.
+over within about 1/beta in ln d.  An array of n arguments is one kernel
+array of n x panels x 65 values: the rate grid of ``performance`` (about
+800 arguments) costs about 150 us at beta = 3 against 25-30 us for the
+closed forms, traced on a 2-vCPU host.  Moments come from closed forms,
+never from positive-s derivatives.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import numpy as np
 from scipy import special
 
 from .config import CellType, ChannelConfig, NetworkConfig
-from .crossing import _gauss_legendre
+from .crossing import _gauss_kronrod
 from .crossing import crossing_probabilities  # noqa: F401  (bench/tracing.py wraps this name)
 from .occupancy import occupancy_pgf
 
@@ -76,8 +79,8 @@ def interferer_mgf(s, ch: ChannelConfig, lo: float, hi: float):
     and c = P_t_m * P_gamma * s it is 1 + 2c/(hi**2 - lo**2) times the
     integral of d/(d**beta - c) over [lo, hi]."""
     s = np.asarray(s, dtype=float)
-    if (s > 0.0).any():
-        raise ValueError("interferer MGF is only evaluated at s <= 0")
+    if s.size and not (-np.inf < s.min() and s.max() <= 0.0):     # NaN fails too
+        raise ValueError("interferer MGF is only evaluated at finite s <= 0")
     _check_support(lo, hi)
     c = ch.P_t_m * ch.P_gamma * s          # c <= 0 on the allowed domain
     area = hi * hi - lo * lo
@@ -94,7 +97,7 @@ def interferer_mgf(s, ch: ChannelConfig, lo: float, hi: float):
 
         v_lo, v_hi = math.log(lo), math.log(hi)
         edges = np.linspace(v_lo, v_hi, math.ceil(ch.beta * (v_hi - v_lo) / MGF_PANEL) + 1)
-        g = 1.0 + 2.0 * c / area * _gauss_legendre(kernel, edges)[0]
+        g = 1.0 + 2.0 * c / area * _gauss_kronrod(kernel, edges)[0]
     return g if g.ndim else float(g)
 
 

@@ -442,6 +442,14 @@ def test_every_engine_refuses_a_user_inside_the_pathloss_floor(tmp_path, config_
     assert not (tmp_path / "success.csv").exists()
 
 
+def test_infinite_threshold_is_a_named_failure(tmp_path, config_file, capsys):
+    status = main(["--scenario", "success", "--engine", "analytic", "--threshold-db", "inf",
+                   "--sweep", "kappa=0.9", "--config", str(config_file), "--out", str(tmp_path)])
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: threshold must be positive")
+    assert not (tmp_path / "success.csv").exists()
+
+
 def _column_kind(column):
     """0 for a key column, then 1 analytic, 2 MC value or SE, 3 gap."""
     for kind, suffixes in enumerate((("_analytic",), ("_mc", "_se"), ("_gap",)), start=1):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hetnet_uplink import NetworkConfig, crossing, crossing_probabilities
-from hetnet_uplink.crossing import _outgoing, _reentry_series
+from hetnet_uplink.crossing import _gauss_kronrod, _kinks, _outgoing, _reentry_series
 from hetnet_uplink.mobility import sample_direction, sample_flight_length
 
 from oracles import (
@@ -248,6 +248,44 @@ def test_wide_disk_probabilities_match_flights(radius):
     run = _mc_crossing(cfg, 480, radius)
     assert abs(cp.p_in - run.p_in.value) <= 3.0 * run.p_in.std_error
     assert abs(cp.p_out - run.p_out.value) <= 3.0 * run.p_out.std_error
+
+
+# ---------------------------------------------------------------- rule
+
+def test_kronrod_rule_integrates_legendre_polynomials_to_degree_97():
+    # the 65-node rule on [-1, 1] is exact to degree 3*32 + 1 = 97 and
+    # misses degree 98
+    x, w = crossing._NODES, crossing._KRONROD
+    assert x.shape == w.shape == (65,)
+    values = np.polynomial.legendre.legvander(x, 98)
+    exact = np.zeros(98)
+    exact[0] = 2.0
+    assert np.abs(w @ values[:, :98] - exact).max() <= 1e-14
+    assert abs(w @ values[:, 98]) > 1e-6
+
+
+def test_kronrod_rule_embeds_gauss_legendre_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    assert crossing._NODES[1::2].tolist() == nodes.tolist()
+    assert crossing._GAUSS[1::2].tolist() == weights.tolist()
+    assert not crossing._GAUSS[0::2].any()
+    assert (crossing._KRONROD > 0.0).all()
+    assert np.all(np.diff(crossing._NODES) > 0.0)
+
+
+def test_rule_evaluates_its_kernel_once_at_65_points_per_panel(desk_cfg, monkeypatch):
+    # one kernel call, at 65 points per panel, gives both the value and
+    # the error estimate
+    shapes, kernel = [], crossing._kernel
+    monkeypatch.setattr(crossing, "_kernel",
+                        lambda phi, *args: shapes.append(phi.shape) or kernel(phi, *args))
+    crossing_probabilities(desk_cfg)
+    panels = len(_kinks(desk_cfg.delta, desk_cfg.L, desk_cfg.R)) + 1
+    assert shapes == [(panels, 65)]
+    points = []
+    value, err = _gauss_kronrod(lambda t: points.append(t.size) or np.exp(t), [0.0, 1.0, 3.0])
+    assert points == [2 * 65]
+    assert abs(value - (math.e**3 - 1.0)) <= 1e-13 and err <= 1e-13
 
 
 def test_every_call_computes_its_point(desk_cfg, monkeypatch):

@@ -117,6 +117,18 @@ def test_mgf_rejects_positive_argument(channel):
             interferer_mgf(-1.0, channel, lo, hi)
 
 
+@pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+def test_mgf_rejects_a_non_finite_argument(channel, beta, bad):
+    # one min/max pair checks s: NaN and -inf fail it as a scalar and inside
+    # an array, where they would otherwise give NaN
+    ch = replace(channel, beta=beta)
+    for s in (bad, np.array([-1.0, bad, -1e6])):
+        with pytest.raises(ValueError, match="finite s <= 0"):
+            interferer_mgf(s, ch, *DISK)
+    assert interferer_mgf(np.empty(0), ch, *DISK).shape == (0,)
+
+
 def test_mgf_beta2_closed_form_value(channel):
     s = -0.01
     c = 0.1 * 1.0 * s

@@ -22,8 +22,9 @@ def test_query_validation():
         PerformanceQuery(kappa=0.0, threshold=T60)
     with pytest.raises(ValueError):
         PerformanceQuery(kappa=1.2, threshold=T60)
-    with pytest.raises(ValueError):
-        PerformanceQuery(kappa=0.9, threshold=0.0)
+    for threshold in (0.0, -T60, math.inf, math.nan):
+        with pytest.raises(ValueError, match="threshold"):
+            PerformanceQuery(kappa=0.9, threshold=threshold)
 
 
 def test_kappa_must_clear_pathloss_floor(desk_cfg, channel):
