@@ -18,10 +18,10 @@ arrays of s.  Closed forms serve beta exactly 2 or 4; every other beta,
 however near, runs on the G32/K65 Gauss-Kronrod rule of ``crossing``, in
 panels of ln d that narrow as 1/beta: the kernel d**2/(d**beta - c) turns
 over within about 1/beta in ln d.  An array of n arguments is one kernel
-array of n x panels x 65 values: the rate grid of ``performance`` (about
-800 arguments) costs about 150 us at beta = 3 against 25-30 us for the
-closed forms, traced on a 2-vCPU host.  Moments come from closed forms,
-never from positive-s derivatives.
+array of n x panels x 65 values: the rate grid of ``performance`` (590-850
+arguments) costs 170-210 us at beta = 3 against 25-40 us for the closed
+forms, traced on a 2-vCPU host.  Moments come from closed forms, never
+from positive-s derivatives.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 from scipy import special
 
 from .config import CellType, ChannelConfig, NetworkConfig
-from .crossing import _gauss_kronrod
+from .crossing import _even_edges, _gauss_kronrod
 from .crossing import crossing_probabilities  # noqa: F401  (bench/tracing.py wraps this name)
 from .occupancy import occupancy_pgf
 
@@ -85,18 +85,20 @@ def interferer_mgf(s, ch: ChannelConfig, lo: float, hi: float):
     c = ch.P_t_m * ch.P_gamma * s          # c <= 0 on the allowed domain
     area = hi * hi - lo * lo
     if ch.beta == 2.0:
-        g = 1.0 + c / area * np.log((hi * hi - c) / (lo * lo - c))
+        # log1p of area/(lo**2 - c), not the log of (hi**2 - c)/(lo**2 - c):
+        # that ratio rounds toward 1 as c -> -inf, and 1 + c/area * log cancels
+        g = 1.0 + c / area * np.log1p(area / (lo * lo - c))
     elif ch.beta == 4.0:
         # real form of the quartic antiderivative for c < 0
         u = np.sqrt(-c)
         g = 1.0 - u / area * (np.arctan(u / lo**2) - np.arctan(u / hi**2))
     else:
         def kernel(v):                     # d**2 / (d**beta - c), in place
-            den = np.exp(ch.beta * v) - np.expand_dims(c, (-2, -1))
+            den = np.exp(ch.beta * v) - c[..., None, None]
             return np.divide(np.exp(2.0 * v), den, out=den)
 
         v_lo, v_hi = math.log(lo), math.log(hi)
-        edges = np.linspace(v_lo, v_hi, math.ceil(ch.beta * (v_hi - v_lo) / MGF_PANEL) + 1)
+        edges = _even_edges(v_lo, v_hi, math.ceil(ch.beta * (v_hi - v_lo) / MGF_PANEL))
         g = 1.0 + 2.0 * c / area * _gauss_kronrod(kernel, edges)[0]
     return g if g.ndim else float(g)
 
@@ -129,6 +131,32 @@ def total_mgf(
     # exactly 1 at s = 0, where eta*q + 1 - eta*q may round 1 down an ulp
     m = np.where(np.equal(s, 0.0), 1.0, occupancy_pgf(g, cfg.N, eta * q))
     return m if m.ndim else float(m)
+
+
+def total_mgf_cut(
+    level: float,
+    cfg: NetworkConfig,
+    ch: ChannelConfig,
+    p_in: float | None = None,
+    p_out: float | None = None,
+) -> float:
+    """An x > 0 beyond which total_mgf(-x) <= level, from a closed-form
+    bound; inf, which cuts nothing, where that bound gives no finite
+    positive x (at N = 0 it is 1 everywhere).
+
+    No interferer lies beyond R_I, so one interferer's MGF at -x is at most
+    1/(1 + y) with y = P_t_m * P_gamma * x / R_I**beta, and the total's is
+    at most B(x) = (1 - w * y/(1 + y))**N, w = eta * q the probability that
+    a user interferes.  B decreases in x, and B(x) = level solves in closed
+    form: y/(1 + y) = -expm1(ln(level)/N)/w.
+    """
+    if cfg.N == 0:
+        return math.inf
+    _, _, q = _support(cfg)
+    u = -math.expm1(math.log(level) / cfg.N) / (_eta(cfg, p_in, p_out) * q)
+    if not 0.0 < u < 1.0:
+        return math.inf
+    return u / (1.0 - u) * cfg.R_I**ch.beta / (ch.P_t_m * ch.P_gamma)
 
 
 def total_moments(

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class OccupancyMoments:
@@ -28,9 +30,11 @@ def _check_eta(N, eta):
 
 def occupancy_pgf(z, N: int, eta: float):
     """Probability generating function (eta*z + 1 - eta)**N of the
-    stationary in-cell count, elementwise over an array z."""
+    stationary in-cell count, elementwise over an array z.  A scalar z takes
+    numpy's power too, which gives each element of an array bit for bit;
+    Python's float power differs in the last bit."""
     _check_eta(N, eta)
-    return (eta * z + 1.0 - eta) ** N
+    return np.power(eta * z + 1.0 - eta, N)
 
 
 def occupancy_moments(N: int, eta: float) -> OccupancyMoments:

@@ -42,6 +42,7 @@ def test_bench_tracer_wraps_and_workloads_call_the_library(monkeypatch):
     tracer.install()
     try:
         res = performance.evaluate(q, cfg, ch, p_in, p_out)
+        success = performance.success_probability(q, cfg, ch, p_in, p_out)
         mean, var = interference.total_moments(cfg, ch, p_in, p_out)
     finally:
         tracer.restore()
@@ -53,7 +54,8 @@ def test_bench_tracer_wraps_and_workloads_call_the_library(monkeypatch):
             "interference.total_mgf", "performance.success_probability"} <= traced
     # the pair the workloads pass is the stationary weight R_I**2/L**2
     want = performance.evaluate(q, cfg, ch)
-    assert res.success_probability == pytest.approx(want.success_probability, rel=1e-14)
+    assert res.success_probability == success == pytest.approx(want.success_probability,
+                                                               rel=1e-14)
     assert res.average_rate == pytest.approx(want.average_rate, rel=1e-12)
     assert (mean, var) == pytest.approx(interference.total_moments(cfg, ch), rel=1e-14)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hetnet_uplink import NetworkConfig, crossing, crossing_probabilities
-from hetnet_uplink.crossing import _gauss_kronrod, _kinks, _outgoing, _reentry_series
+from hetnet_uplink.crossing import (_even_edges, _gauss_kronrod, _kinks, _outgoing,
+                                    _reentry_series)
 from hetnet_uplink.mobility import sample_direction, sample_flight_length
 
 from oracles import (
@@ -286,6 +287,16 @@ def test_rule_evaluates_its_kernel_once_at_65_points_per_panel(desk_cfg, monkeyp
     value, err = _gauss_kronrod(lambda t: points.append(t.size) or np.exp(t), [0.0, 1.0, 3.0])
     assert points == [2 * 65]
     assert abs(value - (math.e**3 - 1.0)) <= 1e-13 and err <= 1e-13
+
+
+def test_even_edges_are_linspace_bit_for_bit():
+    # the MGF and rate panels keep the nodes that np.linspace gave them
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        lo = rng.normal() * 10.0 ** rng.uniform(-3, 3)
+        hi = lo + 10.0 ** rng.uniform(-3, 3)
+        panels = int(rng.integers(1, 40))
+        assert _even_edges(lo, hi, panels).tobytes() == np.linspace(lo, hi, panels + 1).tobytes()
 
 
 def test_every_call_computes_its_point(desk_cfg, monkeypatch):

@@ -136,6 +136,23 @@ def test_mgf_beta2_closed_form_value(channel):
     assert interferer_mgf(s, channel, *DISK) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("support", [RING, DISK])
+def test_mgf_beta2_closed_form_holds_far_out(channel, support):
+    # the rate reads the MGF down to s = -36/P_n = -1.8e12; there the closed
+    # form's 1 + c/area * log1p(area/(lo**2 - c)) cancels to g ~ lo**2/|c|, so
+    # its error is a couple of ulps of 1: on the ring 1.8e-11, 9.7e-10 and
+    # 1.6e-7 relative, against 6.4e-7, 5.6e-3 and a negative value for the
+    # log of (hi**2 - c)/(lo**2 - c)
+    mpmath = pytest.importorskip("mpmath")
+    for s in (-1e10, -1e12, -1e14):
+        with mpmath.workdps(40):
+            lo, hi = (mpmath.mpf(v) for v in support)
+            c = mpmath.mpf(channel.P_t_m) * mpmath.mpf(channel.P_gamma) * mpmath.mpf(s)
+            want = 1 + c / (hi * hi - lo * lo) * mpmath.log((hi * hi - c) / (lo * lo - c))
+            gap = abs(interferer_mgf(s, channel, *support) - want)
+        assert gap <= 2.0 * np.finfo(float).eps, s
+
+
 def test_mgf_matches_mc_expectation(channel, mc_samples_csg):
     s = -0.01
     values = np.exp(s * mc_samples_csg)

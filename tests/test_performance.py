@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hetnet_uplink import CellType, PerformanceQuery, success_probability
-from hetnet_uplink.performance import evaluate
+from hetnet_uplink import CellType, PerformanceQuery, performance, success_probability
+from hetnet_uplink.performance import RATE_PANEL, RATE_SPAN, evaluate
 
 from oracles import rate_oracle
 
@@ -92,6 +92,70 @@ def test_rate_noise_only_matches_direct_expectation(desk_cfg, channel):
     assert abs(rate - mc.mean()) <= 4.0 * se
 
 
+def test_rate_noise_only_matches_its_closed_form(desk_cfg, channel):
+    # E[W ln(1 + SNR)] for an exponential SNR of mean 1/z is W e**z E1(z)
+    mpmath = pytest.importorskip("mpmath")
+    cfg = replace(desk_cfg, N=0)
+    for beta in (2.0, 3.0, 4.0):
+        ch = replace(channel, beta=beta)
+        for kappa in (0.1, 0.9):
+            res = evaluate(_q(kappa=kappa), cfg, ch)
+            with mpmath.workdps(30):
+                z = (mpmath.mpf(ch.noise_power) * mpmath.mpf(kappa * cfg.R) ** beta
+                     / (mpmath.mpf(ch.P_t_h) * mpmath.mpf(ch.P_gamma)))
+                gap = abs(res.average_rate - ch.W * mpmath.exp(z) * mpmath.e1(z))
+            assert gap <= res.quadrature_error, (beta, kappa)
+
+
+def test_metric_result_is_slotted_and_holds_python_floats(desk_cfg, channel):
+    res = evaluate(_q(), desk_cfg, channel)
+    assert not hasattr(res, "__dict__")
+    assert [type(v) for v in (res.success_probability, res.average_rate,
+                              res.quadrature_error)] == [float] * 3
+
+
+def test_evaluate_success_is_success_probability_bit_for_bit(desk_cfg, channel):
+    # evaluate reads the success argument in the rate's MGF array; an array
+    # element and a scalar call must agree to the bit
+    mismatches = []
+    for beta in (2.0, 2.5, 3.0, 4.0):
+        ch = replace(channel, beta=beta)
+        for cell in CellType:
+            for n in (0, 1, 2000):
+                cfg = replace(desk_cfg, N=n, cell_type=cell)
+                for kappa in (0.1, 0.55, 1.0):
+                    for threshold in (1e-7, T60, 1e-3):
+                        q = _q(kappa=kappa, threshold=threshold, cell=cell)
+                        if evaluate(q, cfg, ch).success_probability != \
+                                success_probability(q, cfg, ch):
+                            mismatches.append((beta, cell, n, kappa, threshold))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("cell", [CellType.CSG, CellType.OSG])
+def test_rate_drops_the_panels_past_the_mgf_bound(desk_cfg, channel, monkeypatch, beta, cell):
+    # one MGF call per evaluate: 65 nodes per kept panel and the success
+    # argument.  The closed-form bound cuts the span at N = 2000 and leaves
+    # it whole at N = 0 (no interferer) and N = 1 (the bound stays above
+    # 1 - eta*q)
+    ch = replace(channel, beta=beta)
+    seen, mgf = [], performance.total_mgf
+    monkeypatch.setattr(performance, "total_mgf",
+                        lambda s, *args: seen.append(np.size(s)) or mgf(s, *args))
+    q = _q(cell=cell)
+    attn = (q.kappa * desk_cfg.R) ** beta
+    t_lo = math.log(attn / (ch.P_t_h * ch.P_gamma)) - RATE_SPAN
+    t_hi = math.log(RATE_SPAN / ch.noise_power)
+    whole = 65 * math.ceil((t_hi - t_lo) / RATE_PANEL) + 1
+    for n, cut in ((0, False), (1, False), (2000, True)):
+        seen.clear()
+        evaluate(q, replace(desk_cfg, N=n, cell_type=cell), ch)
+        assert len(seen) == 1
+        assert (seen[0] < whole) == cut, n
+        assert (whole - seen[0]) % 65 == 0
+
+
 def test_rate_decreases_with_distance(desk_cfg, channel):
     rates = [
         evaluate(_q(kappa=k), desk_cfg, channel).average_rate
@@ -108,6 +172,8 @@ def test_rate_decreases_with_distance(desk_cfg, channel):
     (2.0 + 5e-10, CellType.CSG, 2000, 0.9),
     (3.0, CellType.CSG, 1000, 0.5),
     (3.0, CellType.OSG, 8000, 1.0),
+    (2.0, CellType.OSG, 200, 0.5),
+    (3.0, CellType.CSG, 5722, 0.55),
 ])
 def test_rate_within_its_error_of_the_tail_integral_oracle(desk_cfg, channel, beta, cell, N, kappa):
     cfg = replace(desk_cfg, N=N, cell_type=cell)
