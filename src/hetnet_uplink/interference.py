@@ -18,8 +18,8 @@ arrays of s.  Closed forms serve beta exactly 2 or 4; every other beta,
 however near, runs on the G32/K65 Gauss-Kronrod rule of ``crossing``, in
 panels of ln d that narrow as 1/beta: the kernel d**2/(d**beta - c) turns
 over within about 1/beta in ln d.  An array of n arguments is one kernel
-array of n x panels x 65 values: the rate grid of ``performance`` (590-850
-arguments) costs 170-210 us at beta = 3 against 25-40 us for the closed
+array of n x panels x 65 values: the rate grid of ``performance`` (326-456
+arguments) costs about 130 us at beta = 3 against 25-35 us for the closed
 forms, traced on a 2-vCPU host.  Moments come from closed forms, never
 from positive-s derivatives.
 """

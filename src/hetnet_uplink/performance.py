@@ -6,12 +6,13 @@ P{SINR >= T}; with Rayleigh fading this factors into a noise-only
 exponential times the total-interference MGF at a negative argument.
 The average rate (nats/s) is W times the integral over x > 0 of the
 completely monotone f(x) = a e**(-P_n x) M_I(-x) / (attn + a x), on the
-G32/K65 Gauss-Kronrod rule of ``crossing`` in t = ln x, over the panels
-that a closed-form bound on M_I leaves (see ``evaluate``): one MGF array
-per ``evaluate``, 65 arguments per kept panel plus the success argument.
-At beta not 2 or 4 each of those runs on the same rule in ln d, a grid of
-65 x 65 points per pair of panels, so ``evaluate`` costs 0.22-0.27 ms
-there against 0.07-0.10 ms at beta 2 or 4 (traced, 2-vCPU host).
+G32/K65 Gauss-Kronrod rule of ``crossing`` in t = ln x, on panels 8 wide
+(``RATE_PANEL``) that a closed-form bound on M_I leaves (see ``evaluate``):
+one MGF array per ``evaluate``, 65 arguments per kept panel plus the
+success argument, 326-456 in all on the metric-grid benchmark.  At beta
+not 2 or 4 each of those runs on the same rule in ln d, a grid of 65 x 65
+points per pair of panels, so ``evaluate`` costs about 0.16-0.19 ms there
+against 0.06-0.09 ms at beta 2 or 4 (traced, 2-vCPU host).
 Thresholds and powers cross the CLI in dB/dBm but are linear here.
 """
 from __future__ import annotations
@@ -27,8 +28,17 @@ from .interference import total_mgf, total_mgf_cut
 
 # The rule spans x_lo = e**-RATE_SPAN * attn/a to at most x_hi = RATE_SPAN/P_n,
 # where the noise factor is e**-RATE_SPAN, in panels about RATE_PANEL wide.
+# In t = ln x the integrand is analytic off Im t = +-pi, where x = e**t meets
+# the negative axis: the serving pole x = -attn/a and the MGF's branch points.
+# Past |Im t| = pi/2, Re x < 0 and e**(-P_n x) and M_I(-x) grow, so the strip
+# that bounds G32 is about |Im t| < pi/2: on panels h wide it scales to the
+# Bernstein ellipse rho = pi/h + sqrt(1 + (pi/h)**2), and G32's error falls as
+# rho**-64: 2e-11 at h = 8, 2e-9 at 10, 6e-8 at 12.  Measured as |K65 - G32|
+# over the metric-grid benchmark's queries (seed 3), the largest stated error
+# reads 1.4e-11 of the rate at h = 8, 5e-9 at 10 and 1e-7 at 12, against
+# the 1e-10 that the tests hold it to; h = 8 is the widest width within it.
 RATE_SPAN = 36.0
-RATE_PANEL = 4.0
+RATE_PANEL = 8.0
 
 
 @dataclass(frozen=True)
@@ -103,8 +113,13 @@ def evaluate(
 ) -> MetricResult:
     """Success probability plus average rate with a quadrature error bound:
     the K65 rule against its embedded G32, the bounds of both ends, and
-    N*eps times the rate, the rounding that the N-th power of the PGF
-    amplifies.
+    (N + RATE_SPAN)*eps times the rate for rounding.  The N-th power of the
+    PGF amplifies the MGF's rounding N-fold.  The node values round even
+    with no interferer, where |K65 - G32| can read 0: most in e**(-P_n x),
+    whose exponent, up to RATE_SPAN at the last nodes, scales its own
+    relative rounding by up to RATE_SPAN, and a sum of positive values keeps
+    its terms' relative error.  Against W e**z E1(z) at N = 0 the gap
+    measures at most 7 eps of the rate (400 random beta, kappa and P_n).
 
     The rate's panels end at the first edge past the x where the closed-form
     bound B(x) = (1 - eta*q * y/(1 + y))**N >= M_I(-x), y = P_t_m * P_gamma
@@ -142,5 +157,5 @@ def evaluate(
     # node values bound both
     rate = ch.W * (head + body)
     ends = head * abs(1.0 - attn / a * float(f.max())) + float(f.min()) / p_n
-    error = ch.W * (err + ends) + cfg.N * math.ulp(1.0) * rate
+    error = ch.W * (err + ends) + (cfg.N + RATE_SPAN) * math.ulp(1.0) * rate
     return MetricResult(noise_factor * float(m[-1]), rate, error)

@@ -10,8 +10,12 @@ Every re-recording, and why its values moved, is logged in ``CHANGES.md``.
 Re-record named cases, and only those, with
 
     PYTHONPATH=src python tests/test_cli_frozen.py --record NAME...
+
+which prints, per rewritten case, every table cell, summary field and
+console line that changed, as old -> new.
 """
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -129,19 +133,60 @@ class _Capture:
         return got
 
 
+def _fields(case: dict) -> dict:
+    """One case flattened to {where: value}: each console line, each table
+    cell by file, row and column, and each summary field but the timing."""
+    fields = {key: case[key] for key in ("status", "trace_sha256") if key in case}
+    for stream in ("stdout", "stderr"):
+        fields.update((f"{stream}[{i}]", line)
+                      for i, line in enumerate(case.get(stream, "").splitlines()))
+    for table, text in case.get("tables", {}).items():
+        rows = ([json.loads(line) for line in text.splitlines()] if table.endswith(".jsonl")
+                else list(csv.DictReader(io.StringIO(text))))
+        fields.update((f"{table}[{i}].{column}", value)
+                      for i, row in enumerate(rows) for column, value in row.items())
+
+    def flatten(where, value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                flatten(f"{where}.{key}", item)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                flatten(f"{where}[{i}]", item)
+        else:
+            fields[where] = value
+
+    if "summary" in case:
+        flatten("summary", _normalize_summary(case["summary"]))
+    return fields
+
+
+def changes(old: dict, new: dict) -> list[str]:
+    """``where: old -> new`` for every field of ``_fields`` that differs
+    between two recordings of a case; a missing field reads as None."""
+    was, now = _fields(old), _fields(new)
+    return [f"{where}: {was.get(where)!r} -> {now.get(where)!r}"
+            for where in {**was, **now} if was.get(where) != now.get(where)]
+
+
 def record(names, expected=EXPECTED):
     """Rewrite the named cases of ``expected`` from fresh runs, leaving every
-    other case as it is; an unknown name or no name at all is an error."""
+    other case as it is, and print what moved in each; an unknown name or no
+    name at all is an error."""
     unknown = sorted(set(names) - set(CASES))
     if not names or unknown:
         raise ValueError(f"name one or more cases of {sorted(CASES)}; unknown: {unknown}")
     frozen = json.loads(expected.read_text())
+    old = {name: frozen[name] for name in names if name in frozen}
     capture = _Capture()
     with tempfile.TemporaryDirectory() as tmp, \
             redirect_stdout(capture.out), redirect_stderr(capture.err):
         for name in names:
             frozen[name] = observe(name, Path(tmp), capture)
     expected.write_text(json.dumps(frozen, indent=1, sort_keys=True) + "\n")
+    for name in names:
+        moved = changes(old.get(name, {}), frozen[name])
+        print(f"{name}: {len(moved)} field(s) changed", *moved, sep="\n  ")
 
 
 def test_record_refuses_unknown_names_and_an_empty_list(tmp_path):
@@ -168,6 +213,45 @@ def test_record_rewrites_only_the_named_cases(tmp_path):
     assert got["sweep-mismatch"]["stderr"] == "stale"
     assert {k: v for k, v in got.items() if k != "sweep-mismatch"} == \
         {k: v for k, v in want.items() if k != "sweep-mismatch"}
+
+
+def test_record_prints_every_field_that_moved(tmp_path, capsys):
+    copy = tmp_path / "frozen.json"
+    stale = json.loads(EXPECTED.read_text())
+    case = stale["rate-bits-ptm"]
+    case["tables"]["rate.csv"] = case["tables"]["rate.csv"].replace("97001.23279", "97001.2")
+    case["summary"]["checks"][1]["detail"] = "stale"
+    case["summary"]["elapsed_seconds"] = -1.0          # a timing: not reported
+    copy.write_text(json.dumps(stale))
+    capsys.readouterr()
+    record(["rate-bits-ptm", "unknown-scenario"], copy)
+    assert capsys.readouterr().out.splitlines() == [
+        "rate-bits-ptm: 2 field(s) changed",
+        "  rate.csv[0].rate_analytic: '97001.2' -> '97001.23279'",
+        "  summary.checks[1].detail: 'stale' -> 'gap=2.6e+03 (tol 2.25e+05)'",
+        "unknown-scenario: 0 field(s) changed",
+    ]
+    got, want = json.loads(copy.read_text()), json.loads(EXPECTED.read_text())
+    assert changes(want["rate-bits-ptm"], got["rate-bits-ptm"]) == []
+    assert {k: v for k, v in got.items() if k != "rate-bits-ptm"} == \
+        {k: v for k, v in want.items() if k != "rate-bits-ptm"}
+
+
+def test_changes_reads_records_tables_and_console_lines():
+    old = json.loads(EXPECTED.read_text())["figure12-records"]
+    new = json.loads(json.dumps(old))
+    rows = [json.loads(line) for line in new["tables"]["figure12.jsonl"].splitlines()]
+    was = rows[2]["rate_analytic"]
+    rows[2]["rate_analytic"] = was + 1.0
+    new["tables"]["figure12.jsonl"] = "".join(json.dumps(r) + "\n" for r in rows)
+    new["stdout"] += "extra line\n"
+    new["status"] = 7
+    assert changes(old, new) == [
+        f"status: {old['status']!r} -> 7",
+        f"figure12.jsonl[2].rate_analytic: {was!r} -> {was + 1.0!r}",
+        f"stdout[{len(old['stdout'].splitlines())}]: None -> 'extra line'",
+    ]
+    assert changes(old, old) == []
 
 
 if __name__ == "__main__":
